@@ -347,9 +347,13 @@ class App(abc.ABC):
 
             write_profile(profile_path, build_profile(
                 collector, label=f"{self.key} {variant}"))
+        try:
+            dataset_name = dataset.name
+        except AttributeError:  # only then render the dataset itself
+            dataset_name = str(dataset)
         return AppRun(
             app=self.key, variant=variant,
-            dataset=getattr(dataset, "name", str(dataset)),
+            dataset=dataset_name,
             metrics=metrics, result=result, report=report, checked=checked,
             strategy=strategy, backend=backend, oracle=oracle,
         )

@@ -6,7 +6,10 @@ Every MiniCUDA function compiles to a Python *generator function*:
   engine (:mod:`repro.sim.engine`), which performs the access, prices the
   traffic, and sends the result back;
 * locals map to Python locals; local arrays to Python lists; ``__shared__``
-  declarations to per-block lists obtained from the thread context;
+  declarations to per-block lists obtained from the thread context. A
+  declaration shadowing a visible name gets a fresh Python identifier
+  (and, if ``__shared__``, its own block storage), so the outer binding
+  is intact when the inner scope ends;
 * device-function calls become ``yield from`` delegation, so nested memory
   events flow through transparently;
 * kernel launches become ``LAUNCH`` events carrying the callee *name* —
@@ -109,7 +112,13 @@ class FunctionCompiler:
         self.info = module_info
         self.lines: list[str] = []
         self.indent = 1
-        self.kinds: list[dict[str, str]] = [{}]
+        #: per scope, MiniCUDA name -> (kind, Python identifier); the
+        #: identifier differs from the name only for a declaration that
+        #: shadows a visible one
+        self.scopes: list[dict[str, tuple[str, str]]] = [{}]
+        #: the fresh identifiers handed out so far; a later declaration
+        #: spelled like one is renamed too, so live bindings never share one
+        self._renamed: set[str] = set()
         self.temp_counter = 0
         self.has_yield = False
 
@@ -123,18 +132,39 @@ class FunctionCompiler:
         return f"__{stem}{self.temp_counter}"
 
     def push_scope(self) -> None:
-        self.kinds.append({})
+        self.scopes.append({})
 
     def pop_scope(self) -> None:
-        self.kinds.pop()
+        self.scopes.pop()
 
-    def declare(self, name: str, kind: str) -> None:
-        self.kinds[-1][name] = kind
+    def declare(self, name: str, kind: str) -> str:
+        """Bind ``name`` in the innermost scope; returns its Python
+        identifier. A declaration shadowing a visible name gets a fresh
+        one, so the outer binding survives the inner scope."""
+        pyname = name
+        if name in self._renamed or self.kind_of(name) is not None:
+            taken = {p for scope in self.scopes for _, p in scope.values()}
+            taken.update(self.info.globals)
+            k = 1
+            while f"{name}_{k}" in taken:
+                k += 1
+            pyname = f"{name}_{k}"
+            self._renamed.add(pyname)
+        self.scopes[-1][name] = (kind, pyname)
+        return pyname
+
+    def pyname(self, name: str) -> str:
+        if not self._renamed:  # nothing shadowed yet: names are their own
+            return name
+        for scope in reversed(self.scopes):
+            if name in scope:
+                return scope[name][1]
+        return name
 
     def kind_of(self, name: str) -> str | None:
-        for scope in reversed(self.kinds):
+        for scope in reversed(self.scopes):
             if name in scope:
-                return scope[name]
+                return scope[name][0]
         if name in self.info.globals:
             decl = self.info.globals[name]
             return _PTR if decl.type.is_pointer else _SCALAR
@@ -146,10 +176,10 @@ class FunctionCompiler:
     # --------------------------------------------------------------- driver
 
     def compile(self) -> str:
-        params = ", ".join(p.name for p in self.fn.params)
-        header = f"def {mangle(self.fn.name)}(ctx{', ' + params if params else ''}):"
-        for p in self.fn.params:
+        params = ", ".join(
             self.declare(p.name, _PTR if p.type.is_pointer else _SCALAR)
+            for p in self.fn.params)
+        header = f"def {mangle(self.fn.name)}(ctx{', ' + params if params else ''}):"
         self.compile_block(self.fn.body, new_scope=False)
         if not self.has_yield:
             # make sure the function is a generator even if it never yields
@@ -271,29 +301,40 @@ class FunctionCompiler:
         if d.array_size is not None:
             size = self.expr(d.array_size)
             if s.shared:
-                self.declare(d.name, _SHARED_ARRAY)
-                self.emit(f"{d.name} = ctx.shared_array({d.name!r}, {size})")
+                key = self.shared_key(d.name)
+                name = self.declare(d.name, _SHARED_ARRAY)
+                self.emit(f"{name} = ctx.shared_array({key!r}, {size})")
             else:
-                self.declare(d.name, _LOCAL_ARRAY)
+                name = self.declare(d.name, _LOCAL_ARRAY)
                 init = "0.0" if d.type.is_float else "0"
-                self.emit(f"{d.name} = [{init}] * ({size})")
+                self.emit(f"{name} = [{init}] * ({size})")
             if d.init is not None:
                 raise self.err("array initializers are not supported", d)
             return
+        # the initializer sees the enclosing binding of a shadowed name
+        # (as in the typechecker), so it compiles before the declaration
+        init = self.expr(d.init) if d.init is not None else None
         if s.shared:
             # scalar shared variable: back it with a one-element list
-            self.declare(d.name, _SHARED_SCALAR)
-            self.emit(f"{d.name} = ctx.shared_array({d.name!r}, 1)")
-            if d.init is not None:
-                self.emit(f"{d.name}[0] = {self.expr(d.init)}")
+            key = self.shared_key(d.name)
+            name = self.declare(d.name, _SHARED_SCALAR)
+            self.emit(f"{name} = ctx.shared_array({key!r}, 1)")
+            if init is not None:
+                self.emit(f"{name}[0] = {init}")
             return
         kind = _PTR if d.type.is_pointer else _SCALAR
-        self.declare(d.name, kind)
-        if d.init is not None:
-            self.emit(f"{d.name} = {self.expr(d.init)}")
-        else:
-            default = "0.0" if d.type.is_float else ("None" if kind == _PTR else "0")
-            self.emit(f"{d.name} = {default}")
+        name = self.declare(d.name, kind)
+        if init is None:
+            init = "0.0" if d.type.is_float else ("None" if kind == _PTR else "0")
+        self.emit(f"{name} = {init}")
+
+    def shared_key(self, name: str) -> str:
+        """Block-storage key of a ``__shared__`` declaration of ``name``:
+        the name, or when it shadows a visible binding a key no
+        identifier can spell (the CPU backend keys the same way)."""
+        if any(name in scope for scope in self.scopes):
+            return f"{name}#{len(self.scopes)}"
+        return name
 
     # ------------------------------------------------- expression statements
 
@@ -323,16 +364,17 @@ class FunctionCompiler:
         target = e.target
         if isinstance(target, Ident):
             kind = self.kind_of(target.name)
+            name = self.pyname(target.name)
             if kind == _SHARED_SCALAR:
                 if e.op == "=":
-                    self.emit(f"{target.name}[0] = {self.expr(e.value)}")
+                    self.emit(f"{name}[0] = {self.expr(e.value)}")
                 else:
-                    self.emit(f"{target.name}[0] {e.op} {self.expr(e.value)}")
+                    self.emit(f"{name}[0] {e.op} {self.expr(e.value)}")
                 return
             if e.op == "=":
-                self.emit(f"{target.name} = {self.expr(e.value)}")
+                self.emit(f"{name} = {self.expr(e.value)}")
             else:
-                self.emit(f"{target.name} {e.op} {self.expr(e.value)}")
+                self.emit(f"{name} {e.op} {self.expr(e.value)}")
             self._retype_int_assign(target, e)
             return
         if isinstance(target, Index) or (isinstance(target, UnOp) and target.op == "*"):
@@ -364,17 +406,19 @@ class FunctionCompiler:
         tt = getattr(e.target, "ty", None)
         vt = getattr(e.value, "ty", None)
         if tt is not None and vt is not None and tt.is_integer and vt.is_float:
-            self.emit(f"{target.name} = int({target.name})")
+            name = self.pyname(target.name)
+            self.emit(f"{name} = int({name})")
 
     def compile_incdec_stmt(self, e: IncDec) -> None:
         delta = "+ 1" if e.op == "++" else "- 1"
         target = e.operand
         if isinstance(target, Ident):
             kind = self.kind_of(target.name)
+            name = self.pyname(target.name)
             if kind == _SHARED_SCALAR:
-                self.emit(f"{target.name}[0] = {target.name}[0] {delta}")
+                self.emit(f"{name}[0] = {name}[0] {delta}")
             else:
-                self.emit(f"{target.name} = {target.name} {delta}")
+                self.emit(f"{name} = {name} {delta}")
             return
         if isinstance(target, Index) or (isinstance(target, UnOp) and target.op == "*"):
             base, index = self.lvalue_base_index(target)
@@ -398,7 +442,7 @@ class FunctionCompiler:
         assert isinstance(target, Index)
         base = target.base
         if isinstance(base, Ident):
-            return base.name, self.expr(target.index)
+            return self.pyname(base.name), self.expr(target.index)
         # e.g. (p + k)[i]
         return self.expr(base), self.expr(target.index)
 
@@ -432,8 +476,8 @@ class FunctionCompiler:
                 return repr(BUILTIN_CONSTANTS[e.name][1])
             kind = self.kind_of(e.name)
             if kind == _SHARED_SCALAR:
-                return f"{e.name}[0]"
-            return e.name
+                return f"{self.pyname(e.name)}[0]"
+            return self.pyname(e.name)
         if isinstance(e, BuiltinVar):
             return self.builtin_var(e)
         if isinstance(e, UnOp):
@@ -535,11 +579,11 @@ class FunctionCompiler:
         if isinstance(base, Ident):
             kind = self.kind_of(base.name)
             if kind in (_LOCAL_ARRAY, _SHARED_ARRAY, _SHARED_SCALAR):
-                return f"{base.name}[{self.expr(e.index)}]"
+                return f"{self.pyname(base.name)}[{self.expr(e.index)}]"
             if kind is None:
                 raise self.err(f"unknown identifier {base.name!r}", e)
             self.has_yield = True
-            return f"(yield (LD, {base.name}, {self.expr(e.index)}))"
+            return f"(yield (LD, {self.pyname(base.name)}, {self.expr(e.index)}))"
         # computed pointer, e.g. (p + k)[i]
         self.has_yield = True
         return f"(yield (LD, {self.expr(base)}, {self.expr(e.index)}))"

@@ -230,6 +230,10 @@ class _CpuDpRuntime:
         if not 0 <= slot < buf.count:
             raise SimulationError(
                 f"buffer {handle}: read of slot {slot} (count {buf.count})")
+        if not 0 <= fld < buf.nvars:
+            raise SimulationError(
+                f"buffer {handle}: read of field {fld} "
+                f"({buf.nvars}-field buffer)")
         return buf.items[slot * buf.nvars + fld]
 
     def grid_arrive_last(self, inst) -> int:
@@ -289,6 +293,13 @@ class _Env:
                 scope[name] = (entry[0], value)
                 return
         raise SimulationError(f"assignment to undeclared name {name!r}")
+
+
+def _shared_key(name, env) -> str:
+    """Block-storage key of a ``__shared__`` declaration of ``name``: the
+    name, or when it shadows a visible binding a key no identifier can
+    spell (the codegen backend keys the same way)."""
+    return name if env.lookup(name) is None else f"{name}#{len(env.scopes)}"
 
 
 class _Interp:
@@ -741,13 +752,13 @@ class _Interp:
                 raise SimulationError("array initializers are not supported")
             if s.shared:
                 env.declare(d.name, _SHARED_ARRAY,
-                            ctx.shared_array(d.name, size))
+                            ctx.shared_array(_shared_key(d.name, env), size))
             else:
                 init = 0.0 if d.type.is_float else 0
                 env.declare(d.name, _LOCAL_ARRAY, [init] * size)
             return
         if s.shared:
-            cell = ctx.shared_array(d.name, 1)
+            cell = ctx.shared_array(_shared_key(d.name, env), 1)
             env.declare(d.name, _SHARED_SCALAR, cell)
             if d.init is not None:
                 cell[0] = yield from self._eval(d.init, ctx, env)

@@ -190,10 +190,10 @@ class DPRuntime:
     # lane pushing into / reading from one buffer). Each returns
     # ``(values, total_cycles)`` with state, stats and per-operation L2
     # pricing identical to the equivalent sequence of scalar calls, or
-    # ``None`` when an edge case (grow, bounds violation, field-count
-    # mismatch, integer overflow) should take the scalar path instead —
-    # keeping error semantics and the grow/realloc accounting in exactly
-    # one place.
+    # ``None`` when an edge case (grow, slot or field out of range,
+    # field-count mismatch, integer overflow) should take the scalar path
+    # instead — keeping error semantics and the grow/realloc accounting
+    # in exactly one place.
 
     def push_many(self, handle: int, rows: list):
         """Batched :meth:`push`: one store + one stats update for the
@@ -254,14 +254,16 @@ class DPRuntime:
         if buf is None:
             return None
         try:
-            pos = (np.asarray(slots, dtype=np.int64) * buf.nvars
-                   + np.asarray(flds, dtype=np.int64))
             slot_arr = np.asarray(slots, dtype=np.int64)
+            fld_arr = np.asarray(flds, dtype=np.int64)
         except (OverflowError, ValueError, TypeError):
             return None
         if len(slots) and (int(slot_arr.min()) < 0
-                           or int(slot_arr.max()) >= buf.count):
+                           or int(slot_arr.max()) >= buf.count
+                           or int(fld_arr.min()) < 0
+                           or int(fld_arr.max()) >= buf.nvars):
             return None  # scalar get raises the bounds error
+        pos = slot_arr * buf.nvars + fld_arr
         values = buf.storage.data[pos].tolist()
         seg_bytes = self.spec.dram_segment_bytes
         segs = (buf.storage.base_addr + pos * _ITEM_BYTES) // seg_bytes
@@ -281,6 +283,40 @@ class DPRuntime:
         if self.profiler is not None:
             self.profiler.record_pop(len(values), total)
         return values, total
+
+    def get_uniform(self, handle, slot, fld, k: int):
+        """Batched :meth:`get` for ``k`` reads of one (handle, slot, field):
+        returns ``(value, total_cycles)``, or None to fall back.
+
+        One read and one L2 probe stand for all ``k``: the first probe
+        leaves the segment most recently used, and re-probing an LRU
+        set's MRU line is a hit that leaves the set's order unchanged —
+        so the other ``k - 1`` scalar probes are hits with no effect on
+        later L2 state.
+        """
+        if type(handle) is not int or type(slot) is not int \
+                or type(fld) is not int:
+            return None
+        buf = self.buffers.get(handle)
+        if buf is None or not (0 <= slot < buf.count
+                               and 0 <= fld < buf.nvars):
+            return None  # scalar get raises the error
+        pos = slot * buf.nvars + fld
+        value = buf.storage.data.item(pos)
+        seg = buf.storage.addr_of(pos) // self.spec.dram_segment_bytes
+        counters = self.memsys.counters
+        hit_cycles = self.cost.l2_hit_cycles
+        if self.memsys.l2.probe(seg):
+            counters.l2_hits += k
+            total = k * hit_cycles
+        else:
+            counters.l2_misses += 1
+            counters.dram_transactions += 1
+            counters.l2_hits += k - 1
+            total = self.cost.dram_transaction_cycles + (k - 1) * hit_cycles
+        if self.profiler is not None:
+            self.profiler.record_pop(k, total)
+        return value, total
 
     def size_many(self, handle: int, k: int):
         """Batched :meth:`size`: the count is unchanged across the round."""
@@ -318,6 +354,11 @@ class DPRuntime:
         if not 0 <= slot < buf.count:
             raise SimulationError(
                 f"buffer {handle}: read of slot {slot} (count {buf.count})"
+            )
+        if not 0 <= fld < buf.nvars:
+            raise SimulationError(
+                f"buffer {handle}: read of field {fld} "
+                f"({buf.nvars}-field buffer)"
             )
         value = int(buf.storage.data[slot * buf.nvars + fld])
         seg = buf.storage.addr_of(slot * buf.nvars + fld) // self.spec.dram_segment_bytes

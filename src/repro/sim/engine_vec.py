@@ -36,6 +36,13 @@ Equivalence argument (DESIGN.md §15 carries the long form):
    them into the set in exactly the scalar access order, making the L2
    probe sequence (and therefore every later hit/miss) identical.
 
+4. **Operand-uniform rounds.** When every lane's event is the same —
+   one element loaded, or one consolidation-buffer slot read, by the
+   whole warp — the round is served once: one read broadcast to every
+   lane, and for a buffer read one L2 probe plus k-1 hits. Exact
+   because re-probing an LRU set's most recently used line is a hit
+   that leaves the set's order unchanged.
+
 Rounds that are divergent (mixed opcodes), touch several arrays, or hit
 an edge case (bounds violation, integer overflow, buffer grow) take the
 sequential path, which is a line-for-line copy of the scalar engine's
@@ -98,6 +105,15 @@ def segment_probe_order(addrs, itemsize, seg_bytes):
     for seg in ordered.tolist():
         add(seg)
     return out
+
+
+def _operand_uniform(events) -> bool:
+    """Whether every gathered event equals the first — the lockstep case
+    of one operand for the whole warp. A C-speed count; comparing the
+    last lane first lets mixed rounds leave without a scan."""
+    ev0 = events[0]
+    return events[-1] == ev0 and events.count(ev0) == len(events)
+
 
 #: atomic ops batched when a round is uniform, one-array and
 #: duplicate-free (CAS claim chains stay sequential)
@@ -315,7 +331,31 @@ class VectorizedEngine(FunctionalEngine):
     def _segment_set(addrs, itemsize, seg_bytes):
         return segment_probe_order(addrs, itemsize, seg_bytes)
 
+    @staticmethod
+    def _uniform_load(lanes, ev, pending, seg_bytes):
+        """Broadcast a round whose lanes all load one element: one read,
+        and the segment set :func:`coalesce_round` builds for k identical
+        accesses (first segment, then the straddle one). None falls back."""
+        arr = ev[1]
+        idx = ev[2]
+        if type(idx) is not int:
+            return None
+        i = arr.offset + idx
+        data = arr.data
+        if not 0 <= i < data.shape[0]:
+            return None
+        value = data.item(i)
+        for lane in lanes:
+            pending[lane] = value
+        addr = arr.base_addr + i * arr.itemsize
+        return {addr // seg_bytes, (addr + arr.itemsize - 1) // seg_bytes}
+
     def _batch_loads(self, lanes, events, pending, seg_bytes):
+        if _operand_uniform(events):
+            segments = self._uniform_load(lanes, events[0], pending,
+                                          seg_bytes)
+            if segments is not None:
+                return segments
         idxs, arr = self._round_indices(events)
         if idxs is None:
             return None
@@ -419,7 +459,16 @@ class VectorizedEngine(FunctionalEngine):
         """Batch a uniform intrinsic round through the DP runtime.
 
         Returns the summed intrinsic cycles, or None to fall back."""
-        name = events[0][1]
+        ev0 = events[0]
+        name = ev0[1]
+        if name == "buf_get" and len(ev0[2]) == 3 \
+                and _operand_uniform(events):
+            out = self._dp.get_uniform(*ev0[2], len(events))
+            if out is not None:
+                value, cycles = out
+                for i in lanes:
+                    pending[i] = value
+                return cycles
         if name in _PUSH_NAMES:
             arity = int(name[-1]) + 1
         elif name == "buf_get":

@@ -84,7 +84,7 @@ class DeviceArray:
                 f"out-of-bounds load from {self.name!r}: index {index} "
                 f"(offset {self.offset}, length {self.data.shape[0]})"
             )
-        return self.data[i].item()
+        return self.data.item(i)
 
     def store(self, index: int, value) -> None:
         i = self.offset + index

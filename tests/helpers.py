@@ -70,6 +70,16 @@ def minicuda_body(atoms=FUZZ_ATOMS, targets=FUZZ_TARGETS,
     return st.lists(stmt, min_size=1, max_size=max_statements).map(" ".join)
 
 
+#: fuzz bodies pinned as examples: an inner-scope redeclaration of a
+#: local (the second is the shape hypothesis found, a loop counter
+#: shadowed by the inner loop's) must leave the outer binding intact
+SHADOWING_FUZZ_BODIES = (
+    "int x = 1; { int x = 2; acc = x; } acc = acc * 10 + x;",
+    "for (int i1 = 0; i1 < 2; i1++) { "
+    "for (int i1 = 0; i1 < 2; i1++) { acc = acc + 1; } }",
+)
+
+
 def make_fuzz_kernel(body: str) -> str:
     """Wrap a fuzzed body in the canonical single-kernel test program."""
     return (

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro import __version__
 from repro.apps import BASIC, BLOCK, GRID, WARP, all_apps, get_app
@@ -48,6 +48,7 @@ from repro.sim.device import Device
 from repro.sim.specs import DEFAULT_COST_MODEL, K20C
 
 from tests.helpers import (
+    SHADOWING_FUZZ_BODIES,
     make_fuzz_kernel,
     minicuda_body,
     minicuda_expr,
@@ -232,6 +233,8 @@ _fuzz_body = minicuda_body()
 
 
 @given(_fuzz_body)
+@example(SHADOWING_FUZZ_BODIES[0])
+@example(SHADOWING_FUZZ_BODIES[1])
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_programs_match_sim(body):
     """>=50 hypothesis-fuzzed MiniCUDA programs (the same space as

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.apps import BASIC, BLOCK, GRID, WARP, all_apps, get_app
 from repro.errors import SimulationError
@@ -45,10 +45,12 @@ from repro.oracle import (
 from repro.sim.device import DEFAULT_ENGINE, ENGINES, Device
 from repro.sim.engine import FunctionalEngine
 from repro.sim.engine_vec import VectorizedEngine
+from repro.sim.occupancy import LaunchConfig
 from repro.sim.specs import DEFAULT_COST_MODEL, K20C
 from repro.tuning import Candidate, get_objective
 
 from tests.helpers import (
+    SHADOWING_FUZZ_BODIES,
     make_fuzz_kernel,
     minicuda_body,
     run_kernel,
@@ -157,16 +159,11 @@ def datasets():
     return {key: get_app(key).default_dataset(SCALE) for key in APP_KEYS}
 
 
-@pytest.mark.parametrize("key", APP_KEYS)
-@pytest.mark.parametrize("variant", DP_VARIANTS)
-def test_vectorized_engine_matches_scalar(key, variant, datasets):
-    """Every app x DP-variant pair: the vectorized engine's RunMetrics
-    must equal the scalar reference engine's field for field (bitwise),
-    and the functional result element for element."""
+def _assert_engines_agree(key, variant, dataset, **axes):
     app = get_app(key)
-    vec = app.run(variant, dataset=datasets[key], verify=False)
-    ref = app.run(variant, dataset=datasets[key], verify=False,
-                  oracle="sim-scalar")
+    vec = app.run(variant, dataset=dataset, verify=False, **axes)
+    ref = app.run(variant, dataset=dataset, verify=False,
+                  oracle="sim-scalar", **axes)
     assert vec.oracle is None and ref.oracle == "sim-scalar"
     assert (dataclasses.asdict(vec.metrics)
             == dataclasses.asdict(ref.metrics)), \
@@ -177,10 +174,41 @@ def test_vectorized_engine_matches_scalar(key, variant, datasets):
                 f"[{variant}]")
 
 
+@pytest.mark.parametrize("key", APP_KEYS)
+@pytest.mark.parametrize("variant", DP_VARIANTS)
+def test_vectorized_engine_matches_scalar(key, variant, datasets):
+    """Every app x DP-variant pair: the vectorized engine's RunMetrics
+    must equal the scalar reference engine's field for field (bitwise),
+    and the functional result element for element."""
+    _assert_engines_agree(key, variant, datasets[key])
+
+
+#: run axes that move what the batched rounds see: the Fig. 5 allocators
+#: move the heap addresses (hence L2 segments) of consolidation buffers,
+#: and Fig. 6's 1-1 mapping reshapes the consolidated child grids
+_AXIS_CELLS = [
+    pytest.param("sssp", variant, {"allocator": allocator},
+                 id=f"sssp-{variant}-{allocator}")
+    for variant in (WARP, BLOCK, GRID) for allocator in ("halloc", "default")
+] + [
+    pytest.param("td", variant, {"config": LaunchConfig(mode="one2one")},
+                 id=f"td-{variant}-one2one")
+    for variant in (WARP, BLOCK, GRID)
+]
+
+
+@pytest.mark.parametrize("key, variant, axes", _AXIS_CELLS)
+def test_vectorized_engine_matches_scalar_across_run_axes(key, variant, axes,
+                                                          datasets):
+    _assert_engines_agree(key, variant, datasets[key], **axes)
+
+
 _fuzz_body = minicuda_body()
 
 
 @given(_fuzz_body)
+@example(SHADOWING_FUZZ_BODIES[0])
+@example(SHADOWING_FUZZ_BODIES[1])
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_programs_match_scalar(body):
     """>=50 hypothesis-fuzzed MiniCUDA programs (the same space as

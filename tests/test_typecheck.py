@@ -1,11 +1,27 @@
 """Semantic-analysis tests."""
 
+import numpy as np
 import pytest
 
+from repro.backends import CpuDevice
 from repro.errors import TypeCheckError
 from repro.frontend.ast_nodes import BOOL, FLOAT, INT, Type
 from repro.frontend.parser import parse
 from repro.frontend.typecheck import check_module
+from repro.sim.device import Device
+
+from tests.helpers import run_source
+
+
+#: a body that shadows a local in an inner scope
+SHADOWING_BODY = "int x = 1; { int x = 2; a[0] = x; } a[1] = x;"
+
+#: every execution path a shadowing program must agree on
+SHADOWING_DEVICES = {
+    "sim": Device,
+    "sim-scalar": lambda: Device(engine="scalar"),
+    "cpu": CpuDevice,
+}
 
 
 def check(src):
@@ -172,7 +188,33 @@ class TestErrors:
 
     def test_scoped_shadowing_allowed(self):
         # an inner scope may shadow an outer local (C semantics)
-        check_body("int x = 1; { int x = 2; a[0] = x; } a[1] = x;")
+        check_body(SHADOWING_BODY)
+
+    @pytest.mark.parametrize("device", SHADOWING_DEVICES)
+    def test_scoped_shadowing_runs_with_c_semantics(self, device):
+        # the inner x must not clobber the outer one once its scope ends
+        out, = run_source(f"__global__ void k(int* a, int n) "
+                          f"{{ {SHADOWING_BODY} }}", "k", 1, 1,
+                          [("a", np.zeros(2, np.int32))], (0,),
+                          device_factory=SHADOWING_DEVICES[device])
+        assert list(out) == [2, 1]
+
+    @pytest.mark.parametrize("device", SHADOWING_DEVICES)
+    def test_shadowing_shared_and_initializer(self, device):
+        # a shadowing __shared__ array gets its own block storage, and an
+        # initializer naming the shadowed variable reads the outer one
+        src = """__global__ void k(int* a, int n) {
+            __shared__ int s[2];
+            s[0] = 1;
+            { __shared__ int s[2]; s[0] = 2; a[0] = s[0]; }
+            a[1] = s[0];
+            int y = 3;
+            { int y = y + 4; a[2] = y; }
+            a[3] = y;
+        }"""
+        out, = run_source(src, "k", 1, 2, [("a", np.zeros(4, np.int32))],
+                          (0,), device_factory=SHADOWING_DEVICES[device])
+        assert list(out) == [2, 1, 7, 3]
 
     def test_reserved_dp_prefix_rejected_in_user_code(self):
         with pytest.raises(TypeCheckError, match="reserved"):
