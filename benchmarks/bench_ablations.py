@@ -11,6 +11,7 @@ overheads second-order; the ablation makes that checkable here.
 from conftest import SCALE, emit, emit_table
 
 from repro.apps import get_app
+from repro.experiments import RunSpec
 from repro.experiments.reporting import Table
 from repro.sim.specs import DEFAULT_COST_MODEL
 
@@ -34,12 +35,13 @@ def test_cost_model_ablations(benchmark):
     dataset = app.default_dataset(SCALE)
 
     def run_all():
-        base = app.run("basic-dp", dataset=dataset).metrics.cycles
+        base = app.run(RunSpec(app.key, "basic-dp"),
+                       dataset=dataset).metrics.cycles
         rows = []
         for name, overrides in ABLATIONS.items():
             cost = DEFAULT_COST_MODEL.scaled(**overrides)
-            cycles = app.run("basic-dp", dataset=dataset,
-                             cost=cost).metrics.cycles
+            cycles = app.run(RunSpec(app.key, "basic-dp", cost=cost),
+                             dataset=dataset).metrics.cycles
             rows.append((name, base / cycles))
         return base, rows
 

@@ -29,6 +29,7 @@ from _emit import emit_json
 
 from repro.apps import BASIC, GRID, get_app
 from repro.backends import CpuJob, run_jobs
+from repro.experiments import RunSpec
 
 #: the differential harness's hot pairs: the cheapest and the most
 #: consolidation-heavy variant of two paper apps
@@ -48,9 +49,10 @@ def time_pairs(scale: float) -> dict:
         app = get_app(key)
         dataset = app.default_dataset(scale)
         t0 = time.perf_counter()
-        sim = app.run(variant, dataset=dataset, verify=False)
+        sim = app.run(RunSpec(app.key, variant), dataset=dataset, verify=False)
         t1 = time.perf_counter()
-        cpu = app.run(variant, dataset=dataset, verify=False, backend="cpu")
+        cpu = app.run(RunSpec(app.key, variant, backend="cpu"),
+                      dataset=dataset, verify=False)
         t2 = time.perf_counter()
         if not np.array_equal(sim.result, cpu.result):
             raise AssertionError(f"cpu backend diverged on {key} [{variant}]")

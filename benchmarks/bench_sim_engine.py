@@ -38,6 +38,7 @@ import numpy as np
 from _emit import emit_json
 
 from repro.apps import BASIC, GRID, WARP, get_app
+from repro.experiments import RunSpec
 from repro.sim.device import Device
 from repro.sim.engine import coalesce_round
 from repro.sim.engine_vec import segment_probe_order
@@ -61,10 +62,10 @@ def time_apps(scale: float, reps: int = 3) -> dict:
         scalar_s, vec_s = [], []
         for _ in range(reps):  # alternated, best-of: tames compile noise
             t0 = time.perf_counter()
-            ref = app.run(variant, dataset=dataset, verify=False,
-                          oracle="sim-scalar")
+            ref = app.run(RunSpec(app.key, variant, oracle="sim-scalar"),
+                          dataset=dataset, verify=False)
             t1 = time.perf_counter()
-            vec = app.run(variant, dataset=dataset, verify=False)
+            vec = app.run(RunSpec(app.key, variant), dataset=dataset, verify=False)
             t2 = time.perf_counter()
             scalar_s.append(t1 - t0)
             vec_s.append(t2 - t1)

@@ -34,6 +34,7 @@ import time
 from _emit import emit_json
 
 from repro.apps import CONS, get_app
+from repro.experiments import RunSpec
 from repro.telemetry import NULL_SPAN, Tracer, chrome_trace, tracing
 
 #: modules holding a ``span`` binding on the traced app path; the
@@ -72,7 +73,7 @@ def time_modes(scale: float, reps: int) -> tuple[dict, dict]:
 
     def cell():
         t0 = time.perf_counter()
-        run = app.run(CONS, dataset=dataset, verify=False)
+        run = app.run(RunSpec(app.key, CONS), dataset=dataset, verify=False)
         return time.perf_counter() - t0, dataclasses.asdict(run.metrics)
 
     control_s, off_s, on_s = [], [], []

@@ -11,6 +11,7 @@ Run:  python examples/irregular_loops_spmv.py
 """
 
 from repro.apps import BASIC, BLOCK, FLAT, GRID, WARP, get_app
+from repro.experiments import RunSpec
 from repro.experiments.reporting import Table
 
 
@@ -19,7 +20,7 @@ def main():
     dataset = app.default_dataset(scale=0.5)
     print(f"dataset: {dataset.stats()}\n")
 
-    base = app.run(BASIC, dataset=dataset)
+    base = app.run(RunSpec(app.key, BASIC), dataset=dataset)
     print(f"basic-dp: {base.metrics.cycles:,.0f} cycles, "
           f"{base.metrics.device_launches} child launches\n")
 
@@ -27,14 +28,15 @@ def main():
         title="SpMV: speedup over basic-dp by granularity and allocator",
         columns=["variant", "pre-alloc", "halloc", "default", "launches"],
     )
-    flat = app.run(FLAT, dataset=dataset)
+    flat = app.run(RunSpec(app.key, FLAT), dataset=dataset)
     table.add("no-dp (flat)", base.metrics.cycles / flat.metrics.cycles,
               "-", "-", 0)
     for variant in (WARP, BLOCK, GRID):
         row = [variant]
         launches = 0
         for alloc in ("custom", "halloc", "default"):
-            run = app.run(variant, dataset=dataset, allocator=alloc)
+            run = app.run(RunSpec(app.key, variant, allocator=alloc),
+                          dataset=dataset)
             row.append(base.metrics.cycles / run.metrics.cycles)
             launches = run.metrics.device_launches
         row.append(launches)

@@ -14,6 +14,7 @@ Run:  python examples/parallel_recursion_trees.py
 """
 
 from repro.apps import BASIC, BLOCK, FLAT, GRID, WARP, get_app
+from repro.experiments import RunSpec
 from repro.compiler import consolidate_source
 from repro.workloads.generators import tree_dataset1, tree_dataset2
 from repro.experiments.reporting import Table
@@ -29,7 +30,7 @@ def main():
         )
         base = None
         for variant in (BASIC, FLAT, WARP, BLOCK, GRID):
-            run = app.run(variant, dataset=dataset)
+            run = app.run(RunSpec(app.key, variant), dataset=dataset)
             m = run.metrics
             if base is None:
                 base = m.cycles

@@ -24,12 +24,14 @@ from typing import Optional
 
 import numpy as np
 
+from .. import run_config as shims
 from ..compiler import consolidate_source
 from ..compiler.consolidator import ConsolidationReport
+from ..registry import Registry
 from ..sim.device import Device
 from ..sim.occupancy import LaunchConfig
 from ..sim.profiler import RunMetrics
-from ..sim.specs import CostModel, DEFAULT_COST_MODEL, DeviceSpec, K20C
+from ..sim.specs import DEFAULT_COST_MODEL, DeviceSpec, K20C
 from ..telemetry import span
 
 #: variant identifiers, matching the paper's figure legends
@@ -64,8 +66,13 @@ def canonicalize_variant(variant: str,
     (and one figure label) per distinct execution, while strategies
     outside the built-in three stay on the generic variant. Contradictory
     pairs (a per-granularity variant with a *different* strategy, or a
-    strategy on basic-dp/no-dp) are rejected.
+    strategy on basic-dp/no-dp/tuned) are rejected.
     """
+    if variant == TUNED and strategy is not None:
+        raise ValueError(
+            "variant 'tuned' takes its strategy from the stored config; "
+            f"drop the explicit strategy {strategy!r} or use variant "
+            "'consolidated'")
     if variant == CONS:
         legacy = VARIANT_FOR_STRATEGY.get(strategy)
         if legacy is not None:
@@ -209,158 +216,94 @@ class App(abc.ABC):
 
     # -- measured execution ------------------------------------------------------
 
-    def run(self, variant, dataset=None, *, scale: float = 1.0,
-            allocator: str = "custom", config: Optional[LaunchConfig] = None,
-            spec: DeviceSpec = K20C, cost: CostModel = DEFAULT_COST_MODEL,
-            heap_bytes: Optional[int] = None, verify: bool = True,
-            threshold: Optional[int] = None,
-            strategy: Optional[str] = None,
-            backend: Optional[str] = None,
-            oracle: Optional[str] = None) -> AppRun:
-        """Execute one configuration on a fresh device and profile it.
+    def run(self, run, dataset=None, *, scale: float = 1.0,
+            spec: DeviceSpec = K20C, heap_bytes: Optional[int] = None,
+            verify: bool = True, **axes) -> AppRun:
+        """Execute one run of this app on a fresh device and profile it.
 
-        The first argument is either a variant name with the per-axis
-        keywords below (the compatibility shim), or a unified
-        :class:`repro.run_config.RunConfig` carrying every axis at once
-        (the preferred spelling; per-axis keywords may not be combined
-        with it).
-
-        ``threshold`` overrides the app's work-delegation threshold for
-        this run only (the ablation harness sweeps it); ``strategy``
-        selects the consolidation strategy for the ``consolidated``
-        variant; ``backend`` names a registered execution backend
-        (:mod:`repro.backends`; ``None`` = the simulator); ``oracle``
-        names a registered *exact* oracle (:mod:`repro.oracle`) deciding
-        which functional engine runs (``None`` = the default). The
-        returned :class:`AppRun` is plain picklable data, so the
-        experiment runner can execute runs in worker processes and
-        persist them in its on-disk result store.
+        ``run`` is a :class:`~repro.experiments.plan.RunSpec` for this
+        app; it is canonicalized here (:meth:`RunSpec.canonical`), so
+        any spelling of a run executes the same way. ``dataset`` is the
+        materialized dataset; ``None`` materializes the spec's workload
+        (or the app's default) at ``scale``. The returned :class:`AppRun`
+        is plain picklable data, so the experiment runner can execute
+        runs in worker processes and persist them in its result store.
+        To observe a run, wrap the call in ``repro.telemetry.tracing()``
+        or ``repro.perf.profiling()``; neither can change its result.
         """
-        from ..run_config import RunConfig
-
-        trace_path = None
-        profile_path = None
-        if isinstance(variant, RunConfig):
-            cfg = variant
-            trace_path = cfg.trace
-            profile_path = cfg.profile
-            clashing = [name for name, value in (
-                ("threshold", threshold), ("strategy", strategy),
-                ("backend", backend), ("oracle", oracle),
-            ) if value is not None]
-            if clashing or allocator != "custom" or config is not None:
-                clashing += ([] if allocator == "custom" else ["allocator"])
-                clashing += ([] if config is None else ["config"])
+        # deprecated RunConfig / per-axis shims, due for removal
+        if axes or isinstance(run, (str, shims.RunConfig)):
+            return shims.app_run(self, run, dataset, scale=scale, spec=spec,
+                                 heap_bytes=heap_bytes, verify=verify, **axes)
+        run = run.canonical()
+        if run.app != self.key:
+            raise ValueError(f"{self.label} cannot run a spec for app "
+                             f"{run.app!r}")
+        if dataset is None:
+            if run.dataset is not None:
                 raise ValueError(
-                    "a RunConfig already carries every axis; drop the "
-                    f"per-axis keyword(s) {', '.join(clashing)}")
-            variant, strategy = cfg.variant, cfg.strategy
-            threshold, backend = cfg.threshold, cfg.backend
-            oracle, allocator = cfg.oracle, cfg.allocator
-            if cfg.config is not None:
-                mode, blocks, threads = cfg.config
-                config = LaunchConfig(mode=mode, blocks=blocks,
-                                      threads=threads, spec=spec)
-            if dataset is None and cfg.workload is not None:
+                    f"dataset {run.dataset!r} names a dataset registered on "
+                    "an ExperimentRunner; pass the dataset itself")
+            if run.workload is None:
+                dataset = self.default_dataset(scale)
+            else:
                 from ..workloads import materialize_for_app
 
-                dataset = materialize_for_app(self, cfg.workload, scale)
-        variant, strategy = canonicalize_variant(variant, strategy)
+                dataset = materialize_for_app(self, run.workload, scale)
         engine = None
-        if oracle is not None:
-            from ..oracle import DEFAULT_ORACLE, get_oracle
+        if run.oracle is not None:
+            from ..oracle import get_oracle
 
-            resolved = get_oracle(oracle)
-            if not resolved.exact:
-                raise ValueError(
-                    f"oracle {resolved.name!r} is a learned approximation "
-                    "and cannot execute runs; use it as a tuning "
-                    "prefilter (`repro tune --oracle surrogate`)")
-            engine = resolved.engine
-            # record the canonical spelling (the default folds onto None)
-            oracle = (None if resolved.name == DEFAULT_ORACLE
-                      else resolved.name)
-        if dataset is None:
-            dataset = self.default_dataset(scale)
-        from contextlib import ExitStack
+            engine = get_oracle(run.oracle).engine
+        cost = DEFAULT_COST_MODEL if run.cost is None else run.cost
+        original_threshold = self.threshold
+        if run.threshold is not None:
+            self.threshold = run.threshold
+        try:
+            source, report = self.variant_source(
+                run.variant, config=run.launch_config(spec), spec=spec,
+                strategy=run.strategy)
+            if run.backend is None:
+                kwargs = {} if heap_bytes is None else {"heap_bytes": heap_bytes}
+                if engine is not None:
+                    kwargs["engine"] = engine
+                device = Device(spec=spec, cost=cost, allocator=run.allocator,
+                                **kwargs)
+            else:
+                from ..backends import get_backend
 
-        tracer = None
-        collector = None
-        with ExitStack() as stack:
-            if trace_path is not None:
-                # RunConfig(trace=...): a run-scoped tracer, written out
-                # after the run. Purely observational — nothing below
-                # reads it, so results and cache keys cannot shift.
-                from ..telemetry import Tracer, tracing
-
-                tracer = Tracer()
-                stack.enter_context(tracing(tracer))
-                stack.enter_context(span("app.run", app=self.key,
-                                         variant=variant))
-            if profile_path is not None:
-                # RunConfig(profile=...): same never-perturb contract as
-                # trace — the collector only observes the engines, and
-                # the profile is written after the run completes.
-                from ..perf import profiling
-
-                collector = stack.enter_context(profiling())
-            original_threshold = self.threshold
-            if threshold is not None:
-                self.threshold = threshold
-            try:
-                source, report = self.variant_source(
-                    variant, config=config, spec=spec, strategy=strategy)
-                if backend is None:
-                    kwargs = ({} if heap_bytes is None
-                              else {"heap_bytes": heap_bytes})
-                    if engine is not None:
-                        kwargs["engine"] = engine
-                    device = Device(spec=spec, cost=cost, allocator=allocator,
-                                    **kwargs)
-                else:
-                    from ..backends import get_backend
-
-                    device = get_backend(backend).make_device(
-                        spec=spec, cost=cost, allocator=allocator,
-                        heap_bytes=heap_bytes, engine=engine)
-                program = device.load(source)
-                result = self.host_run(device, program, dataset, variant)
-                metrics = device.synchronize()
-            finally:
-                self.threshold = original_threshold
-            checked = False
-            if verify:
-                with span("app.verify", app=self.key):
-                    good = self.check(result, dataset)
-                if not good:
-                    raise AssertionError(
-                        f"{self.label} [{variant}] produced a wrong result "
-                        f"on {getattr(dataset, 'name', dataset)}"
-                    )
-                checked = True
-        if tracer is not None:
-            from ..telemetry import write_chrome_trace
-
-            write_chrome_trace(trace_path, tracer)
-        if collector is not None:
-            from ..perf.report import build_profile, write_profile
-
-            write_profile(profile_path, build_profile(
-                collector, label=f"{self.key} {variant}"))
+                device = get_backend(run.backend).make_device(
+                    spec=spec, cost=cost, allocator=run.allocator,
+                    heap_bytes=heap_bytes, engine=engine)
+            program = device.load(source)
+            result = self.host_run(device, program, dataset, run.variant)
+            metrics = device.synchronize()
+        finally:
+            self.threshold = original_threshold
+        checked = False
+        if verify:
+            with span("app.verify", app=self.key):
+                good = self.check(result, dataset)
+            if not good:
+                raise AssertionError(
+                    f"{self.label} [{run.variant}] produced a wrong result "
+                    f"on {getattr(dataset, 'name', dataset)}"
+                )
+            checked = True
         try:
             dataset_name = dataset.name
         except AttributeError:  # only then render the dataset itself
             dataset_name = str(dataset)
         return AppRun(
-            app=self.key, variant=variant,
+            app=self.key, variant=run.variant,
             dataset=dataset_name,
             metrics=metrics, result=result, report=report, checked=checked,
-            strategy=strategy, backend=backend, oracle=oracle,
+            strategy=run.strategy, backend=run.backend, oracle=run.oracle,
         )
 
 
-#: populated by repro.apps.__init__
-REGISTRY: dict[str, App] = {}
+#: key -> app singleton, populated by repro.apps.__init__
+REGISTRY: Registry[App] = Registry("app", App, key="key")
 
 
 def register(app_cls):
@@ -372,7 +315,7 @@ def register(app_cls):
         raise ValueError(
             f"{app_cls.__name__} must name a default_workload (a "
             "repro.workloads registry reference)")
-    REGISTRY[app.key] = app
+    REGISTRY.register(app, replace=True)
     return app_cls
 
 

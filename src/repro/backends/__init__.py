@@ -30,8 +30,7 @@ them::
 
 from __future__ import annotations
 
-from typing import Union
-
+from ..registry import Registry
 from .base import Backend, BackendError
 from .cpu import CpuBackend, CpuDevice, CpuJob, run_job, run_jobs
 from .cuda import (
@@ -66,55 +65,27 @@ __all__ = [
 #: and naming this one produce identical cache keys (see store.run_key)
 DEFAULT_BACKEND = "sim"
 
-#: name -> singleton; insertion order is the presentation order of
-#: ``repro list``
-_REGISTRY: dict[str, Backend] = {}
 
-
-def register_backend(backend: Backend, replace: bool = False) -> Backend:
-    """Add a backend to the registry (validated); returns it."""
-    if not isinstance(backend, Backend):
-        raise TypeError(f"expected a Backend instance, got {backend!r}")
-    if not backend.name:
-        raise ValueError(f"{type(backend).__name__} must define a name")
+def _validate(backend: Backend) -> None:
     if not (backend.executes or backend.emits):
         raise ValueError(
             f"backend {backend.name!r} must execute programs or emit "
             "source (or both)")
-    if backend.name in _REGISTRY and not replace:
-        raise ValueError(f"backend {backend.name!r} is already registered")
-    _REGISTRY[backend.name] = backend
-    return backend
 
 
-def unregister_backend(name: str) -> None:
-    """Remove a backend (test/plugin cleanup). Built-ins may be removed
-    too; re-register them from the exported classes if needed."""
-    if name not in _REGISTRY:
-        raise KeyError(f"backend {name!r} is not registered")
-    del _REGISTRY[name]
+#: name -> singleton; insertion order is the presentation order of
+#: ``repro list``
+_REGISTRY: Registry[Backend] = Registry(
+    "backend", Backend, error=BackendError, validate=_validate)
 
-
-def get_backend(name: Union[str, Backend]) -> Backend:
-    """Look up a backend by name; instances pass through unchanged."""
-    if isinstance(name, Backend):
-        return name
-    backend = _REGISTRY.get(name)
-    if backend is None:
-        raise BackendError(
-            f"unknown backend {name!r}; "
-            f"available: {', '.join(available_backends())}")
-    return backend
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names, in registration order."""
-    return tuple(_REGISTRY)
-
+register_backend = _REGISTRY.register
+unregister_backend = _REGISTRY.unregister
+get_backend = _REGISTRY.get
+available_backends = _REGISTRY.names
 
 register_backend(SimBackend())
 register_backend(CpuBackend())
 register_backend(CudaBackend())
 
 #: the built-in targets, as registered singletons
-BUILTIN_BACKENDS = tuple(_REGISTRY.values())
+BUILTIN_BACKENDS = _REGISTRY.values()

@@ -13,8 +13,8 @@ A backend declares two capabilities:
     It can build a *device* — an object with the :class:`repro.sim.device.Device`
     facade (``load`` / ``from_numpy`` / ``alloc`` / ``launch`` /
     ``synchronize`` / ``to_numpy``) — so every app host driver runs on it
-    unchanged. Executing backends plug into ``App.run(backend=...)`` and
-    the experiment runner's ``--backend`` axis.
+    unchanged. Executing backends plug into ``RunSpec(backend=...)``
+    and the CLI's ``--backend`` axis.
 
 ``emits``
     It can lower a program to target source text (``emit``), e.g. a

@@ -22,9 +22,8 @@ simulator, runner cache key, and CLI — without touching any of them::
 
 from __future__ import annotations
 
-from typing import Union
-
 from ...errors import TransformError
+from ...registry import Registry
 from ...sim.dp import GRAN_NAMES
 from .base import ConsolidationStrategy
 from .block import BlockStrategy
@@ -43,19 +42,8 @@ __all__ = [
     "BUILTIN_STRATEGIES",
 ]
 
-#: name -> singleton; insertion order is the presentation order used by
-#: ``consolidate_all`` and the granularity ablation
-_REGISTRY: dict[str, ConsolidationStrategy] = {}
 
-
-def register_strategy(strategy: ConsolidationStrategy,
-                      replace: bool = False) -> ConsolidationStrategy:
-    """Add a strategy to the registry (validated); returns it."""
-    if not isinstance(strategy, ConsolidationStrategy):
-        raise TypeError(
-            f"expected a ConsolidationStrategy instance, got {strategy!r}")
-    if not strategy.name:
-        raise ValueError(f"{type(strategy).__name__} must define a name")
+def _validate(strategy: ConsolidationStrategy) -> None:
     if strategy.gran_code not in GRAN_NAMES:
         scopes = ", ".join(f"{c}={n}" for c, n in GRAN_NAMES.items())
         raise ValueError(
@@ -64,41 +52,22 @@ def register_strategy(strategy: ConsolidationStrategy,
     if strategy.kc_concurrency < 1:
         raise ValueError(
             f"strategy {strategy.name!r}: kc_concurrency must be >= 1")
-    if strategy.name in _REGISTRY and not replace:
-        raise ValueError(f"strategy {strategy.name!r} is already registered")
-    _REGISTRY[strategy.name] = strategy
-    return strategy
 
 
-def unregister_strategy(name: str) -> None:
-    """Remove a strategy (test/plugin cleanup). Built-ins may be removed
-    too; re-register them from the exported classes if needed."""
-    if name not in _REGISTRY:
-        raise KeyError(f"strategy {name!r} is not registered")
-    del _REGISTRY[name]
+#: name -> singleton; insertion order is the presentation order used by
+#: ``consolidate_all`` and the granularity ablation
+_REGISTRY: Registry[ConsolidationStrategy] = Registry(
+    "strategy", ConsolidationStrategy, error=TransformError,
+    unknown="consolidation strategy", validate=_validate)
 
-
-def get_strategy(name: Union[str, ConsolidationStrategy]
-                 ) -> ConsolidationStrategy:
-    """Look up a strategy by name; instances pass through unchanged."""
-    if isinstance(name, ConsolidationStrategy):
-        return name
-    strategy = _REGISTRY.get(name)
-    if strategy is None:
-        raise TransformError(
-            f"unknown consolidation strategy {name!r}; "
-            f"available: {', '.join(available_strategies())}")
-    return strategy
-
-
-def available_strategies() -> tuple[str, ...]:
-    """Registered strategy names, in registration order."""
-    return tuple(_REGISTRY)
-
+register_strategy = _REGISTRY.register
+unregister_strategy = _REGISTRY.unregister
+get_strategy = _REGISTRY.get
+available_strategies = _REGISTRY.names
 
 register_strategy(WarpStrategy())
 register_strategy(BlockStrategy())
 register_strategy(GridStrategy())
 
 #: the paper's three granularities, as registered singletons
-BUILTIN_STRATEGIES = tuple(_REGISTRY.values())
+BUILTIN_STRATEGIES = _REGISTRY.values()

@@ -85,20 +85,20 @@ def compute(runner: ExperimentRunner, exhaustive: bool = True) -> Table:
                  "1-1 mapping", "exhaustive", "KC-rule/exhaustive"],
     )
     for ds in datasets:
-        base = runner.run(APP, "basic-dp", dataset_name=ds)
+        base = runner.run(APP, "basic-dp", dataset=ds)
         for gran in GRANULARITIES:
             speedups = {}
             for name, cfg in kc.items():
-                run = runner.run(APP, gran, config=cfg, dataset_name=ds)
+                run = runner.run(APP, gran, config=cfg, dataset=ds)
                 speedups[name] = base.metrics.cycles / run.metrics.cycles
-            run = runner.run(APP, gran, config=one2one, dataset_name=ds)
+            run = runner.run(APP, gran, config=one2one, dataset=ds)
             speedups["1-1 mapping"] = base.metrics.cycles / run.metrics.cycles
             if exhaustive:
                 best = 0.0
                 for blocks, threads in exhaustive_configs(runner.spec):
                     cfg = LaunchConfig(mode="explicit", blocks=blocks,
                                        threads=threads, spec=runner.spec)
-                    r = runner.run(APP, gran, config=cfg, dataset_name=ds)
+                    r = runner.run(APP, gran, config=cfg, dataset=ds)
                     best = max(best, base.metrics.cycles / r.metrics.cycles)
                 speedups["exhaustive"] = best
             else:

@@ -8,7 +8,7 @@ figure's plan, deduplicate it, and hand the whole batch to
 dispatch — the figures then render against a warm cache and never trigger
 a simulation themselves.
 
-A :class:`RunSpec` is deliberately hashable plain data (no live
+A canonical :class:`RunSpec` is hashable plain data (no live
 :class:`~repro.sim.occupancy.LaunchConfig` or dataset objects) so it can
 serve directly as the in-memory cache key and be shipped to worker
 processes; see DESIGN.md §8.
@@ -16,47 +16,43 @@ processes; see DESIGN.md §8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional
 
+from .. import run_config as shims
+from ..apps import canonicalize_variant, get_app
+from ..backends import DEFAULT_BACKEND, get_backend
+from ..oracle import DEFAULT_ORACLE, get_oracle
 from ..sim.occupancy import LaunchConfig
 from ..sim.specs import CostModel, DeviceSpec
+from ..workloads.spec import canonical_for_app
 
 
 @dataclass(frozen=True)
 class RunSpec:
     """One application execution, as plain hashable data.
 
+    The only type that describes a run. Construction never validates or
+    folds anything (so it stays as cheap as a tuple); :meth:`canonical`
+    does, and the runner, ``App.run`` and the service all go through
+    it, so every spelling of a run lands on one cache key.
+
     ``config`` is the ``(mode, blocks, threads)`` triple of a
     :class:`LaunchConfig` (the spec field is supplied by the runner);
     ``cost`` / ``threshold`` of ``None`` mean "the runner's / the app's
-    default" and are filled in by the runner when the spec is resolved.
-    ``strategy`` names a registered consolidation strategy for the
-    ``'consolidated'`` variant; the runner canonicalizes built-in
-    strategies onto their legacy per-granularity variants
-    (:func:`repro.apps.common.canonicalize_variant`), so
-    ``('consolidated', strategy='warp')`` and ``('warp-level', None)``
-    share one cache entry.
+    default". ``strategy`` names a registered consolidation strategy for
+    the ``'consolidated'`` variant.
 
     ``workload`` is a :mod:`repro.workloads` registry reference naming
-    the dataset to run on (``None`` means the app's default); the runner
-    canonicalizes references (parameter spellings collapse) and folds
-    the app's own default workload onto ``None``, so the axis preserves
-    every pre-existing cache key. ``dataset`` names a dataset explicitly
-    registered on the runner (:meth:`ExperimentRunner.register_dataset`,
-    e.g. Fig. 6's tree datasets) — at most one of the two may be set.
+    the dataset to run on (``None`` means the app's default); ``dataset``
+    names a dataset explicitly registered on the runner
+    (:meth:`ExperimentRunner.register_dataset`, e.g. Fig. 6's tree
+    datasets) — at most one of the two may be set.
 
     ``backend`` names a registered execution backend
-    (:mod:`repro.backends`); ``None`` means the default simulator, and
-    the runner folds an explicit ``'sim'`` onto ``None`` the same way
-    the workload axis folds defaults, so pre-backend cache keys are
-    preserved byte-for-byte.
-
-    ``oracle`` names a registered *exact* oracle (:mod:`repro.oracle`)
-    deciding which functional-engine implementation answers the run;
-    ``None`` means the default (``'sim'``, the vectorized engine), which
-    an explicit ``'sim'`` folds onto. Learned oracles are tuning
-    prefilters, not executable runs, and are rejected at resolve time.
+    (:mod:`repro.backends`) and ``oracle`` a registered *exact* oracle
+    (:mod:`repro.oracle`) deciding which functional engine answers the
+    run; ``None`` means the default simulator on the default engine.
     """
 
     app: str
@@ -71,18 +67,61 @@ class RunSpec:
     backend: Optional[str] = None
     oracle: Optional[str] = None
 
-    @classmethod
-    def from_config(cls, app: str, config: "object",
-                    dataset: Optional[str] = None,
-                    cost: Optional[CostModel] = None) -> "RunSpec":
-        """Lift a :class:`repro.run_config.RunConfig` onto a spec for
-        one app (the unified entry point the runner/service/CLI share)."""
-        return cls(app=app, variant=config.variant,
-                   allocator=config.allocator, config=config.config,
-                   dataset=dataset, cost=cost,
-                   threshold=config.threshold, strategy=config.strategy,
-                   workload=config.workload, backend=config.backend,
-                   oracle=config.oracle)
+    #: deprecated RunConfig shim (repro.run_config), due for removal
+    from_config = classmethod(shims.spec_from_config)
+
+    def canonical(self, **fill) -> "RunSpec":
+        """This spec with every axis in its one canonical spelling.
+
+        The one place a run's axes are validated and folded:
+
+        * variant/strategy — redundant spellings collapse
+          (``('consolidated', 'warp')`` is ``('warp-level', None)``)
+          and contradictions are rejected
+          (:func:`~repro.apps.common.canonicalize_variant`);
+        * backend and oracle — validated against their registries (a
+          backend must execute, an oracle must be exact) and their
+          defaults fold onto ``None``;
+        * config and threshold — a live :class:`LaunchConfig` folds to
+          its triple, a threshold is coerced to ``int``;
+        * workload — the reference is canonicalized and the app's own
+          default folds onto ``None``; a spec naming both a registered
+          dataset and a workload is rejected.
+
+        Every fold maps onto ``None`` or a value the axis already had
+        before it existed, so pre-existing cache keys stay put.
+        ``fill`` gives values for fields still ``None`` after folding
+        (the runner's cost model and the app's threshold), so resolving
+        copies a spec at most once. Returns ``self`` when nothing
+        changes.
+        """
+        if self.dataset is not None and self.workload is not None:
+            raise ValueError(
+                "a RunSpec takes either a registered dataset name or a "
+                f"workload reference, not both (got dataset="
+                f"{self.dataset!r}, workload={self.workload!r})")
+        variant, strategy = canonicalize_variant(self.variant, self.strategy)
+        config = self.config
+        if config is not None and not isinstance(config, tuple):
+            config = self.config_key(config)
+        axes = {
+            "variant": variant, "strategy": strategy, "config": config,
+            "threshold": (None if self.threshold is None
+                          else int(self.threshold)),
+            "backend": _fold_backend(self.backend),
+            "oracle": _fold_oracle(self.oracle),
+            "workload": (None if self.workload is None else
+                         canonical_for_app(get_app(self.app), self.workload)),
+        }
+        for name, value in fill.items():
+            if axes.get(name, getattr(self, name)) is None:
+                axes[name] = value
+        changes = {}
+        for name, value in axes.items():
+            old = getattr(self, name)
+            if value != old or type(value) is not type(old):
+                changes[name] = value
+        return replace(self, **changes) if changes else self
 
     @staticmethod
     def config_key(config: Optional[LaunchConfig]) -> Optional[tuple]:
@@ -98,6 +137,29 @@ class RunSpec:
         mode, blocks, threads = self.config
         return LaunchConfig(mode=mode, blocks=blocks, threads=threads,
                             spec=spec)
+
+
+def _fold_backend(name) -> Optional[str]:
+    if name is None:
+        return None
+    backend = get_backend(name)  # raises BackendError if unknown
+    if not backend.executes:
+        raise ValueError(
+            f"backend {backend.name!r} does not execute programs; "
+            "use `repro compile --backend` for emit-only backends")
+    return None if backend.name == DEFAULT_BACKEND else backend.name
+
+
+def _fold_oracle(name) -> Optional[str]:
+    if name is None:
+        return None
+    oracle = get_oracle(name)  # raises OracleError if unknown
+    if not oracle.exact:
+        raise ValueError(
+            f"oracle {oracle.name!r} is a learned approximation and "
+            "cannot execute runs; use it as a tuning prefilter "
+            "(`repro tune --oracle surrogate`)")
+    return None if oracle.name == DEFAULT_ORACLE else oracle.name
 
 
 class WorkPlan:

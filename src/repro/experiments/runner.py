@@ -32,9 +32,9 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
+from .. import run_config as shims
 from ..apps import get_app
-from ..apps.common import AppRun
-from ..sim.occupancy import LaunchConfig
+from ..apps.common import CONS, TUNED, AppRun
 from ..sim.specs import CostModel, DEFAULT_COST_MODEL, DeviceSpec, K20C
 from ..telemetry import span
 from .plan import RunSpec, WorkPlan
@@ -66,20 +66,8 @@ class RunStats:
 def _execute(spec: RunSpec, dataset, device_spec: DeviceSpec,
              verify: bool) -> AppRun:
     """Execute one resolved RunSpec against a materialized dataset."""
-    app = get_app(spec.app)
-    return app.run(
-        spec.variant,
-        dataset=dataset,
-        allocator=spec.allocator,
-        config=spec.launch_config(device_spec),
-        spec=device_spec,
-        cost=spec.cost,
-        verify=verify,
-        threshold=spec.threshold,
-        strategy=spec.strategy,
-        backend=spec.backend,
-        oracle=spec.oracle,
-    )
+    return get_app(spec.app).run(spec, dataset, spec=device_spec,
+                                 verify=verify)
 
 
 #: per-worker state installed by :func:`_init_worker` — the datasets are
@@ -182,19 +170,14 @@ class ExperimentRunner:
                     self.scale, cache=self.dataset_cache)
         return self._datasets[key]
 
-    def _canonical_workload(self, app_key: str,
-                            workload: Optional[str]) -> Optional[str]:
-        """Canonicalize a workload reference; the app's own default
-        folds onto None so the axis never forks pre-existing cache
-        entries (:func:`repro.workloads.canonical_for_app`)."""
-        from ..workloads import canonical_for_app
-
-        return canonical_for_app(get_app(app_key), workload)
-
     def register_dataset(self, app_key: str, name: str, dataset) -> None:
         self._datasets[(app_key, name)] = dataset
-        # the content address must track the dataset actually registered
+        # the content address and the memoized runs must track the
+        # dataset actually registered
         self._fingerprints.pop((app_key, name), None)
+        for spec in [spec for spec in self._cache if spec.app == app_key
+                     and _dataset_name(spec) == name]:
+            del self._cache[spec]
 
     def _fingerprint(self, app_key: str, name: Optional[str]) -> str:
         key = (app_key, name)
@@ -219,8 +202,9 @@ class ExperimentRunner:
                 f"run `repro tune {app}` to create one")
         from .. import __version__
         from ..tuning.registry import tuned_key
+        from ..workloads import canonical_for_app
 
-        workload = self._canonical_workload(app, workload)
+        workload = canonical_for_app(get_app(app), workload)
         key = tuned_key(app=app, objective=self.tuned_objective,
                         spec=self.spec, cost=self.cost, scale=self.scale,
                         verify=self.verify, version=__version__,
@@ -234,14 +218,9 @@ class ExperimentRunner:
         return entry
 
     def _resolve_tuned(self, spec: RunSpec) -> RunSpec:
-        """Lower a ``'tuned'`` spec onto the stored winning configuration
-        (explicit per-spec threshold/config overrides still win; an
-        explicit strategy contradicts the variant and is rejected)."""
-        if spec.strategy is not None:
-            raise ValueError(
-                "variant 'tuned' takes its strategy from the stored "
-                f"config; drop the explicit strategy {spec.strategy!r} "
-                "or use variant 'consolidated'")
+        """Lower a canonical ``'tuned'`` spec onto the stored winning
+        configuration (explicit per-spec threshold/config overrides still
+        win)."""
         entry = self.tuned_entry(spec.app, spec.workload)
         if entry is None:
             what = (f"app {spec.app!r}" if spec.workload is None else
@@ -251,8 +230,6 @@ class ExperimentRunner:
                 f"{self.tuned_objective!r} in {self.tuned.path}; run "
                 f"`repro tune {spec.app}` first")
         cand = entry.candidate
-        from ..apps.common import CONS
-
         return replace(
             spec, variant=CONS, strategy=cand.strategy,
             threshold=(spec.threshold if spec.threshold is not None
@@ -261,63 +238,13 @@ class ExperimentRunner:
                     else cand.config_key(self.spec)))
 
     def _resolve(self, spec: RunSpec) -> RunSpec:
-        """Fill runner/app defaults so the spec fully determines the run."""
-        from ..apps.common import TUNED, canonicalize_variant
-
-        workload = self._canonical_workload(spec.app, spec.workload)
-        if workload is not None and spec.dataset is not None:
-            raise ValueError(
-                "a RunSpec takes either a registered dataset name or a "
-                f"workload reference, not both (got dataset="
-                f"{spec.dataset!r}, workload={spec.workload!r})")
-        if workload != spec.workload:
-            spec = replace(spec, workload=workload)
-        backend = self._canonical_backend(spec.backend)
-        if backend != spec.backend:
-            spec = replace(spec, backend=backend)
-        oracle = self._canonical_oracle(spec.oracle)
-        if oracle != spec.oracle:
-            spec = replace(spec, oracle=oracle)
+        """Canonicalize a spec (:meth:`RunSpec.canonical`), lower the
+        ``'tuned'`` variant and fill the runner/app defaults, so the
+        result fully determines (and uniquely keys) the run."""
         if spec.variant == TUNED:
-            spec = self._resolve_tuned(spec)
-        variant, strategy = canonicalize_variant(spec.variant, spec.strategy)
-        cost = spec.cost if spec.cost is not None else self.cost
-        threshold = (spec.threshold if spec.threshold is not None
-                     else get_app(spec.app).threshold)
-        if (cost is spec.cost and threshold == spec.threshold
-                and variant == spec.variant and strategy == spec.strategy):
-            return spec
-        return replace(spec, variant=variant, strategy=strategy,
-                       cost=cost, threshold=threshold)
-
-    @staticmethod
-    def _canonical_backend(backend: Optional[str]) -> Optional[str]:
-        """Canonicalize a backend name: the default simulator folds onto
-        None (so the axis never forks pre-existing cache entries), other
-        names are validated against the registry and must execute."""
-        if backend is None:
-            return None
-        from ..backends import DEFAULT_BACKEND, get_backend
-
-        resolved = get_backend(backend)  # raises BackendError if unknown
-        if not resolved.executes:
-            raise ValueError(
-                f"backend {resolved.name!r} does not execute programs; "
-                "use `repro compile --backend` for emit-only backends")
-        if resolved.name == DEFAULT_BACKEND:
-            return None
-        return resolved.name
-
-    @staticmethod
-    def _canonical_oracle(oracle: Optional[str]) -> Optional[str]:
-        """Canonicalize an oracle name: the default folds onto None (so
-        the axis never forks pre-existing cache entries), other names
-        are validated against the registry and must be exact — learned
-        oracles approximate metrics and cannot *be* a run. Shared with
-        :class:`repro.run_config.RunConfig` so both spellings agree."""
-        from ..run_config import _canonical_oracle
-
-        return _canonical_oracle(oracle)
+            spec = self._resolve_tuned(spec.canonical())
+        return spec.canonical(cost=self.cost,
+                              threshold=get_app(spec.app).threshold)
 
     def _content_key(self, resolved: RunSpec) -> str:
         from .. import __version__
@@ -417,31 +344,12 @@ class ExperimentRunner:
             self._admit(resolved, run)
         return run
 
-    def run(self, app_key: str, variant: str, *, allocator: str = "custom",
-            config: Optional[LaunchConfig] = None,
-            dataset_name: Optional[str] = None,
-            cost: Optional[CostModel] = None,
-            threshold: Optional[int] = None,
-            strategy: Optional[str] = None,
-            workload: Optional[str] = None,
-            backend: Optional[str] = None,
-            oracle: Optional[str] = None) -> AppRun:
-        return self.run_spec(RunSpec(
-            app=app_key, variant=variant, allocator=allocator,
-            config=RunSpec.config_key(config), dataset=dataset_name,
-            cost=cost, threshold=threshold, strategy=strategy,
-            workload=workload, backend=backend, oracle=oracle,
-        ))
+    def run(self, app_key: str, variant: str, **axes) -> AppRun:
+        """Execute (or recall) ``RunSpec(app_key, variant, **axes)``."""
+        return self.run_spec(RunSpec(app_key, variant, **axes))
 
-    def run_config(self, app_key: str, config,
-                   dataset_name: Optional[str] = None,
-                   cost: Optional[CostModel] = None) -> AppRun:
-        """Execute (or recall) one app under a unified
-        :class:`repro.run_config.RunConfig` — the preferred entry point;
-        :meth:`run`'s keyword spelling remains as the compatibility
-        shim."""
-        return self.run_spec(RunSpec.from_config(
-            app_key, config, dataset=dataset_name, cost=cost))
+    #: deprecated RunConfig shim (repro.run_config), due for removal
+    run_config = shims.runner_run_config
 
     def prefetch(self, specs: Iterable[RunSpec],
                  jobs: Optional[int] = None,
@@ -506,6 +414,6 @@ class ExperimentRunner:
     def speedup_over_basic(self, app_key: str, variant: str, **kw) -> float:
         base = self.run(app_key, "basic-dp",
                         **{k: v for k, v in kw.items()
-                           if k in ("dataset_name", "workload")})
+                           if k in ("dataset", "workload")})
         other = self.run(app_key, variant, **kw)
         return base.metrics.cycles / other.metrics.cycles

@@ -30,8 +30,7 @@ them::
 
 from __future__ import annotations
 
-from typing import Union
-
+from ..registry import Registry
 from .base import EngineOracle, Oracle, OracleError
 from .surrogate import (
     MIN_TRAIN_ROWS, SurrogateModel, SurrogateOracle, spearman,
@@ -76,17 +75,7 @@ class LearnedOracle(Oracle):
         return SurrogateOracle(sim, training_log)
 
 
-#: name -> singleton; insertion order is the presentation order of
-#: ``repro list``
-_REGISTRY: dict[str, Oracle] = {}
-
-
-def register_oracle(oracle: Oracle, replace: bool = False) -> Oracle:
-    """Add an oracle to the registry (validated); returns it."""
-    if not isinstance(oracle, Oracle):
-        raise TypeError(f"expected an Oracle instance, got {oracle!r}")
-    if not oracle.name:
-        raise ValueError(f"{type(oracle).__name__} must define a name")
+def _validate(oracle: Oracle) -> None:
     if oracle.exact and oracle.engine is not None:
         from ..sim.device import ENGINES
 
@@ -94,36 +83,17 @@ def register_oracle(oracle: Oracle, replace: bool = False) -> Oracle:
             raise ValueError(
                 f"oracle {oracle.name!r} names unknown sim engine "
                 f"{oracle.engine!r}; available: {', '.join(sorted(ENGINES))}")
-    if oracle.name in _REGISTRY and not replace:
-        raise ValueError(f"oracle {oracle.name!r} is already registered")
-    _REGISTRY[oracle.name] = oracle
-    return oracle
 
 
-def unregister_oracle(name: str) -> None:
-    """Remove an oracle (test/plugin cleanup). Built-ins may be removed
-    too; re-register them from the exported classes if needed."""
-    if name not in _REGISTRY:
-        raise KeyError(f"oracle {name!r} is not registered")
-    del _REGISTRY[name]
+#: name -> singleton; insertion order is the presentation order of
+#: ``repro list``
+_REGISTRY: Registry[Oracle] = Registry(
+    "oracle", Oracle, error=OracleError, validate=_validate)
 
-
-def get_oracle(name: Union[str, Oracle]) -> Oracle:
-    """Look up an oracle by name; instances pass through unchanged."""
-    if isinstance(name, Oracle):
-        return name
-    oracle = _REGISTRY.get(name)
-    if oracle is None:
-        raise OracleError(
-            f"unknown oracle {name!r}; "
-            f"available: {', '.join(available_oracles())}")
-    return oracle
-
-
-def available_oracles() -> tuple[str, ...]:
-    """Registered oracle names, in registration order."""
-    return tuple(_REGISTRY)
-
+register_oracle = _REGISTRY.register
+unregister_oracle = _REGISTRY.unregister
+get_oracle = _REGISTRY.get
+available_oracles = _REGISTRY.names
 
 register_oracle(EngineOracle(
     "sim", "vectorized",
@@ -134,4 +104,4 @@ register_oracle(EngineOracle(
 register_oracle(LearnedOracle())
 
 #: the built-in oracles, as registered singletons
-BUILTIN_ORACLES = tuple(_REGISTRY.values())
+BUILTIN_ORACLES = _REGISTRY.values()

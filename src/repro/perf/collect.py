@@ -180,12 +180,13 @@ def profiling(collector: Optional[ProfileCollector] = None):
     """Bind a collector so Devices constructed inside attach to it::
 
         with profiling() as collector:
-            run = app.run(cfg)
+            run = app.run(RunSpec("sssp", "consolidated"))
         profile = build_profile(collector)
 
-    Like ``RunConfig(trace=...)``, this is observational only: results,
-    ``RunMetrics`` and cache keys are bitwise/byte identical with and
-    without an active collector (regression-tested in tests/test_perf.py).
+    Like :func:`repro.telemetry.tracing`, this is observational only:
+    results, ``RunMetrics`` and cache keys are bitwise/byte identical with
+    and without an active collector (regression-tested in
+    tests/test_perf.py).
     """
     if collector is None:
         collector = ProfileCollector()

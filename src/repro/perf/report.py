@@ -270,7 +270,7 @@ def render_occupancy(profile: DeepProfile, width: int = 64,
 
 
 def profile_to_json(profile: DeepProfile) -> dict:
-    """JSON-able view of the profile (``--json`` / RunConfig(profile=...))."""
+    """JSON-able view of the profile (``repro profile --json``)."""
     return {
         "format": PROFILE_FORMAT,
         "label": profile.label,

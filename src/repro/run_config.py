@@ -1,54 +1,50 @@
-"""The unified run configuration — one value for every run axis.
+"""Deprecated spellings of a run, kept as shims.
 
-The repo grew one axis per PR (variant, then strategy, then threshold,
-then workload, then backend, now oracle), each threaded as its own
-keyword through ``App.run``, :class:`~repro.experiments.plan.RunSpec`,
-the experiment runner, the service wire format, and the CLI.
-:class:`RunConfig` collapses them into one frozen, canonicalizing
-value::
+:class:`~repro.experiments.plan.RunSpec` is the only type that describes
+a run and :meth:`RunSpec.canonical` its only canonicalizer. The old
+spellings below survive under :data:`repro.errors.DeprecationPolicy`:
+each warns, lowers onto a ``RunSpec`` and so keeps its results and its
+cache entry exactly.
 
-    cfg = RunConfig(variant="consolidated", strategy="warp", threshold=16)
-    app.run(cfg, dataset=ds)                      # App entry point
-    runner.run_config("sssp", cfg)                # cached runner entry
-    RunSpec.from_config("sssp", cfg)              # plan/service entry
+* :class:`RunConfig`, an app-less bundle of the axes, and its
+  ``trace``/``profile`` hooks (observe runs with
+  ``repro.telemetry.tracing()`` and ``repro.perf.profiling()``);
+* ``RunSpec.from_config``, ``ExperimentRunner.run_config`` and
+  ``ServiceClient.submit_config``;
+* the per-axis keywords of ``App.run`` (``app.run("warp-level",
+  threshold=16)``).
 
-Canonicalization happens at construction, so two configs describing the
-same run compare (and hash) equal: redundant (variant, strategy)
-spellings collapse (``('consolidated', 'warp')`` == ``('warp-level',
-None)``), the default backend and oracle fold onto ``None``, and a live
-:class:`~repro.sim.occupancy.LaunchConfig` folds to its hashable triple.
-The legacy per-axis keywords on ``App.run`` / ``ExperimentRunner.run``
-remain as compatibility shims and lower onto the same code paths, so
-every pre-existing cache key is preserved byte-for-byte (the
-frozen-payload regression test in ``tests/test_run_config.py`` holds the
-key function to it).
-
-Workload references are deliberately *not* folded here: collapsing an
-app's default workload onto ``None`` needs the app, which a RunConfig
-does not name — the runner and ``App.run`` apply
-:func:`repro.workloads.canonical_for_app` exactly as before.
+At load time this module imports only :mod:`repro.errors`, so every
+old entry point can import it and dispatch here in one line.
 """
 
 from __future__ import annotations
 
+import os
+import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .apps.common import BASIC, canonicalize_variant
+from .errors import DeprecationPolicy
+
+
+def _deprecated(old: str, new: str, stacklevel: int = 3) -> None:
+    warnings.warn(f"{old} is deprecated; use {new} ({DeprecationPolicy})",
+                  DeprecationWarning, stacklevel=stacklevel)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every axis of one application run, as canonical hashable data.
+    """Deprecated: every axis of one run, without the app.
 
-    ``config`` is the ``(mode, blocks, threads)`` launch-config triple
-    (a live :class:`~repro.sim.occupancy.LaunchConfig` is accepted and
-    folded); ``threshold=None`` means the app default, ``workload=None``
-    the app's default dataset, ``backend``/``oracle`` ``None`` the
-    default simulator on the default engine.
+    Canonicalized at construction by :meth:`RunSpec.canonical` (all axes
+    but ``workload``, whose default fold needs the app). ``trace`` and
+    ``profile`` are observation hooks, not axes: ``compare=False`` keeps
+    them out of equality, hashing and :meth:`axes`.
     """
 
-    variant: str = BASIC
+    variant: str = "basic-dp"
     strategy: Optional[str] = None
     threshold: Optional[int] = None
     workload: Optional[str] = None
@@ -56,42 +52,20 @@ class RunConfig:
     oracle: Optional[str] = None
     allocator: str = "custom"
     config: Optional[tuple] = None
-    #: profiling hook, NOT a run axis: a path to write a Chrome trace
-    #: of this run to (``repro.telemetry``). ``compare=False`` keeps it
-    #: out of equality/hash, and :meth:`axes` skips it, so two configs
-    #: differing only in ``trace`` share one cache entry and telemetry
-    #: can never perturb a cache key.
+    #: write a Chrome trace of the run here (``repro.telemetry``)
     trace: Optional[str] = field(default=None, compare=False)
-    #: deep-profiling hook, same contract as ``trace``: a path to write
-    #: the per-kernel attribution profile of this run to as JSON
-    #: (:mod:`repro.perf`). Structurally excluded from identity, so a
-    #: profiled run shares its cache entry with the plain run and its
-    #: ``RunMetrics`` are regression-tested bitwise identical.
+    #: write the run's per-kernel profile here as JSON (``repro.perf``)
     profile: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        variant, strategy = canonicalize_variant(self.variant, self.strategy)
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "strategy", strategy)
-        object.__setattr__(self, "backend",
-                           _canonical_backend(self.backend))
-        object.__setattr__(self, "oracle", _canonical_oracle(self.oracle))
-        config = self.config
-        if config is not None and not isinstance(config, tuple):
-            from .experiments.plan import RunSpec
-
-            config = RunSpec.config_key(config)
-        object.__setattr__(self, "config", config)
-        if self.threshold is not None:
-            object.__setattr__(self, "threshold", int(self.threshold))
-        if self.trace is not None:
-            import os
-
-            object.__setattr__(self, "trace", os.fspath(self.trace))
-        if self.profile is not None:
-            import os
-
-            object.__setattr__(self, "profile", os.fspath(self.profile))
+        _deprecated("RunConfig", "repro.experiments.RunSpec", stacklevel=4)
+        folded = _lift("", self, workload=None).canonical()
+        for name in ("variant", "strategy", "threshold", "backend",
+                     "oracle", "config"):
+            object.__setattr__(self, name, getattr(folded, name))
+        for name in ("trace", "profile"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, os.fspath(getattr(self, name)))
 
     def describe(self) -> str:
         """Compact one-line spelling (CLI/report output)."""
@@ -108,40 +82,88 @@ class RunConfig:
         return " ".join(parts)
 
     def axes(self) -> dict:
-        """The axes as a plain dict (wire formats, logging).
-
-        Only identity axes (``compare=True`` fields) appear: ``trace``
-        and ``profile`` are observability hooks, not part of what the
-        run *is*.
-        """
+        """The identity axes as a plain dict (``trace``/``profile``
+        excluded)."""
         return {f.name: getattr(self, f.name) for f in fields(self)
                 if f.compare}
 
 
-def _canonical_backend(backend: Optional[str]) -> Optional[str]:
-    """Validate and default-fold a backend name (must execute)."""
-    if backend is None:
-        return None
-    from .backends import DEFAULT_BACKEND, get_backend
+def _lift(app: str, config: RunConfig, dataset: Optional[str] = None,
+          cost=None, **overrides):
+    """The RunSpec a RunConfig describes for one app."""
+    from .experiments.plan import RunSpec
 
-    resolved = get_backend(backend)
-    if not resolved.executes:
+    axes = {name: getattr(config, name) for name in (
+        "variant", "allocator", "config", "threshold", "strategy",
+        "workload", "backend", "oracle")}
+    return RunSpec(app=app, dataset=dataset, cost=cost,
+                   **{**axes, **overrides})
+
+
+def spec_from_config(cls, app: str, config: RunConfig,
+                     dataset: Optional[str] = None, cost=None):
+    """Deprecated ``RunSpec.from_config``: lift a RunConfig for one app."""
+    _deprecated("RunSpec.from_config", "RunSpec(app, variant, ...)")
+    return _lift(app, config, dataset, cost)
+
+
+def runner_run_config(runner, app_key: str, config: RunConfig,
+                      dataset_name: Optional[str] = None, cost=None):
+    """Deprecated ``ExperimentRunner.run_config``."""
+    _deprecated("ExperimentRunner.run_config", "ExperimentRunner.run_spec")
+    return runner.run_spec(_lift(app_key, config, dataset_name, cost))
+
+
+def submit_config(client, app: str, config: RunConfig,
+                  scale: Optional[float] = None):
+    """Deprecated ``ServiceClient.submit_config``."""
+    _deprecated("ServiceClient.submit_config", "ServiceClient.submit_spec")
+    return client.submit_spec(_lift(app, config), scale=scale)
+
+
+def app_run(app, run, dataset=None, *, scale, spec, heap_bytes, verify,
+            **axes):
+    """Deprecated ``App.run`` spellings: a variant name with per-axis
+    keywords, or a RunConfig (whose hooks trace/profile the run)."""
+    from .experiments.plan import RunSpec
+
+    if isinstance(run, RunSpec):
+        raise ValueError("a RunSpec already carries every axis; drop the "
+                         f"keyword(s) {', '.join(axes)}")
+    if isinstance(run, str):
+        _deprecated("App.run(variant, **axes)", "App.run(RunSpec(...))", 4)
+        return app.run(RunSpec(app.key, run, **axes), dataset, scale=scale,
+                       spec=spec, heap_bytes=heap_bytes, verify=verify)
+    _deprecated("App.run(RunConfig)", "App.run(RunSpec(...))", 4)
+    cost = axes.pop("cost", None)
+    clashing = [name for name, value in axes.items()
+                if value not in (None, "custom")]
+    if clashing:
         raise ValueError(
-            f"backend {resolved.name!r} does not execute programs; "
-            "use `repro compile --backend` for emit-only backends")
-    return None if resolved.name == DEFAULT_BACKEND else resolved.name
+            "a RunConfig already carries every axis; drop the per-axis "
+            f"keyword(s) {', '.join(clashing)}")
+    tracer = collector = None
+    with ExitStack() as stack:
+        if run.trace is not None:
+            from .telemetry import Tracer, span, tracing
 
+            tracer = stack.enter_context(tracing(Tracer()))
+            stack.enter_context(span("app.run", app=app.key,
+                                     variant=run.variant))
+        if run.profile is not None:
+            from .perf import profiling
 
-def _canonical_oracle(oracle: Optional[str]) -> Optional[str]:
-    """Validate and default-fold an oracle name (must be exact)."""
-    if oracle is None:
-        return None
-    from .oracle import DEFAULT_ORACLE, get_oracle
+            collector = stack.enter_context(profiling())
+        result = app.run(_lift(app.key, run, cost=cost), dataset,
+                         scale=scale, spec=spec, heap_bytes=heap_bytes,
+                         verify=verify)
+    if tracer is not None:
+        from .telemetry import write_chrome_trace
 
-    resolved = get_oracle(oracle)
-    if not resolved.exact:
-        raise ValueError(
-            f"oracle {resolved.name!r} is a learned approximation and "
-            "cannot execute runs; use it as a tuning prefilter "
-            "(`repro tune --oracle surrogate`)")
-    return None if resolved.name == DEFAULT_ORACLE else resolved.name
+        write_chrome_trace(run.trace, tracer)
+    if collector is not None:
+        from .perf.report import build_profile, write_profile
+
+        write_profile(run.profile, build_profile(
+            collector, label=f"{app.key} {result.variant}"))
+    return result

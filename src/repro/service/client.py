@@ -25,6 +25,7 @@ import socket
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .. import run_config as shims
 from .protocol import (PROTOCOL_VERSION, ProtocolError, decode,
                        default_socket_path, encode, metrics_from_wire,
                        spec_to_wire, stats_from_wire)
@@ -197,14 +198,8 @@ class ServiceClient:
         return self.submit_spec(RunSpec(app=app, variant=variant, **axes),
                                 scale=scale)
 
-    def submit_config(self, app: str, config,
-                      scale: Optional[float] = None) -> SubmitResult:
-        """Submit one app under a unified
-        :class:`repro.run_config.RunConfig` (the preferred spelling)."""
-        from ..experiments.plan import RunSpec
-
-        return self.submit_spec(RunSpec.from_config(app, config),
-                                scale=scale)
+    #: deprecated RunConfig shim (repro.run_config), due for removal
+    submit_config = shims.submit_config
 
     def submit_many(self, specs: Iterable,
                     scale: Optional[float] = None) -> list[SubmitResult]:

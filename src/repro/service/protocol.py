@@ -44,6 +44,8 @@ import os
 from pathlib import Path
 from typing import Optional
 
+from ..experiments.plan import RunSpec
+
 #: bump on any incompatible change to message shapes; the handshake
 #: rejects mismatched clients before any request is interpreted
 PROTOCOL_VERSION = 1
@@ -129,38 +131,32 @@ def error(rid, message: str) -> dict:
 
 # -- experiment types on the wire ---------------------------------------------
 
-#: RunSpec fields a submit may carry (everything else is rejected, so a
+#: RunSpec fields a submit may carry, derived from the dataclass so no
+#: axis can be dropped on the wire (everything else is rejected, so a
 #: typo'd axis fails loudly instead of silently running the default)
-_SPEC_FIELDS = ("app", "variant", "allocator", "config", "dataset",
-                "cost", "threshold", "strategy", "workload", "oracle")
+_SPEC_FIELDS = {f.name: f.default for f in dataclasses.fields(RunSpec)}
 
 
 def spec_to_wire(spec) -> dict:
     """A :class:`~repro.experiments.plan.RunSpec` as a wire dict
-    (defaults omitted, so the common case is a three-key object)."""
-    out = {"app": spec.app, "variant": spec.variant}
-    if spec.allocator != "custom":
-        out["allocator"] = spec.allocator
-    if spec.config is not None:
-        out["config"] = list(spec.config)
-    if spec.dataset is not None:
-        out["dataset"] = spec.dataset
-    if spec.cost is not None:
-        out["cost"] = dataclasses.asdict(spec.cost)
-    if spec.threshold is not None:
-        out["threshold"] = spec.threshold
-    if spec.strategy is not None:
-        out["strategy"] = spec.strategy
-    if spec.workload is not None:
-        out["workload"] = spec.workload
-    if spec.oracle is not None:
-        out["oracle"] = spec.oracle
+    (defaults omitted, so the common case is a two-key object)."""
+    out = {}
+    for name, default in _SPEC_FIELDS.items():
+        value = getattr(spec, name)
+        if value == default:
+            continue
+        if name == "config":
+            value = list(value)
+        elif name == "cost":
+            value = dataclasses.asdict(value)
+        out[name] = value
     return out
 
 
 def spec_from_wire(d: dict):
-    """Rebuild a RunSpec, validating field names and shapes."""
-    from ..experiments.plan import RunSpec
+    """Rebuild a RunSpec, validating field names and shapes: ``config``
+    is a scalar triple, ``threshold`` an integer, ``cost`` an object of
+    numeric cost-model fields and every other axis a string."""
     from ..sim.specs import CostModel
 
     if not isinstance(d, dict):
@@ -172,6 +168,7 @@ def spec_from_wire(d: dict):
     for field in ("app", "variant"):
         if not isinstance(d.get(field), str):
             raise ProtocolError(f"spec.{field} must be a string")
+    axes = dict(d)
     config = d.get("config")
     if config is not None:
         if not (isinstance(config, (list, tuple)) and len(config) == 3
@@ -180,14 +177,10 @@ def spec_from_wire(d: dict):
             raise ProtocolError(
                 "spec.config must be a [mode, blocks, threads] triple "
                 "of scalars")
-        config = tuple(config)
+        axes["config"] = tuple(config)
     threshold = d.get("threshold")
     if threshold is not None and not isinstance(threshold, int):
         raise ProtocolError("spec.threshold must be an integer")
-    for field in ("allocator", "dataset", "strategy", "workload", "oracle"):
-        value = d.get(field)
-        if value is not None and not isinstance(value, str):
-            raise ProtocolError(f"spec.{field} must be a string")
     cost = d.get("cost")
     if cost is not None:
         if not (isinstance(cost, dict)
@@ -195,16 +188,14 @@ def spec_from_wire(d: dict):
             raise ProtocolError("spec.cost must be an object of numeric "
                                 "cost-model fields")
         try:
-            cost = CostModel(**cost)
+            axes["cost"] = CostModel(**cost)
         except TypeError as exc:
             raise ProtocolError(f"bad cost model: {exc}") from None
-    return RunSpec(
-        app=d["app"], variant=d["variant"],
-        allocator=d.get("allocator", "custom"), config=config,
-        dataset=d.get("dataset"), cost=cost,
-        threshold=threshold, strategy=d.get("strategy"),
-        workload=d.get("workload"), oracle=d.get("oracle"),
-    )
+    for field, value in d.items():
+        if (field not in ("config", "threshold", "cost")
+                and value is not None and not isinstance(value, str)):
+            raise ProtocolError(f"spec.{field} must be a string")
+    return RunSpec(**axes)
 
 
 def run_to_wire(run) -> dict:

@@ -12,7 +12,7 @@ Activation comes in two scopes:
 * :func:`tracing` — a context manager binding a :class:`Tracer` into a
   ContextVar. The binding follows asyncio task creation (contextvars
   copy into tasks) and stays out of unrelated threads. This is what
-  ``repro trace`` and ``RunConfig(trace=...)`` use.
+  ``repro trace`` uses, and how any caller traces a run.
 * :func:`install` / :func:`uninstall` — a process-global tracer for the
   service daemon, whose work hops from the event loop into
   ``run_in_executor`` worker threads where ContextVars do *not* follow.

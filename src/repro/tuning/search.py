@@ -31,6 +31,7 @@ import math
 import random
 from typing import Optional
 
+from ..registry import Registry
 from ..telemetry import span
 from .oracle import SimulationOracle, Trial
 from .space import Candidate
@@ -131,46 +132,13 @@ class SuccessiveHalving(SearchAlgorithm):
 
 # -- registry ----------------------------------------------------------------
 
-_REGISTRY: dict[str, SearchAlgorithm] = {}
+_REGISTRY: Registry[SearchAlgorithm] = Registry(
+    "search algorithm", SearchAlgorithm)
 
-
-def register_search(algorithm: SearchAlgorithm,
-                    replace: bool = False) -> SearchAlgorithm:
-    """Add a search algorithm to the registry (validated); returns it."""
-    if not isinstance(algorithm, SearchAlgorithm):
-        raise TypeError(
-            f"expected a SearchAlgorithm instance, got {algorithm!r}")
-    if not algorithm.name:
-        raise ValueError(f"{type(algorithm).__name__} must define a name")
-    if algorithm.name in _REGISTRY and not replace:
-        raise ValueError(
-            f"search algorithm {algorithm.name!r} is already registered")
-    _REGISTRY[algorithm.name] = algorithm
-    return algorithm
-
-
-def unregister_search(name: str) -> None:
-    """Remove a search algorithm (test/plugin cleanup)."""
-    if name not in _REGISTRY:
-        raise KeyError(f"search algorithm {name!r} is not registered")
-    del _REGISTRY[name]
-
-
-def get_search(name) -> SearchAlgorithm:
-    """Look up an algorithm by name; instances pass through unchanged."""
-    if isinstance(name, SearchAlgorithm):
-        return name
-    algorithm = _REGISTRY.get(name)
-    if algorithm is None:
-        raise KeyError(f"unknown search algorithm {name!r}; "
-                       f"available: {', '.join(available_searches())}")
-    return algorithm
-
-
-def available_searches() -> tuple[str, ...]:
-    """Registered algorithm names, in registration order."""
-    return tuple(_REGISTRY)
-
+register_search = _REGISTRY.register
+unregister_search = _REGISTRY.unregister
+get_search = _REGISTRY.get
+available_searches = _REGISTRY.names
 
 register_search(GridSearch())
 register_search(RandomSearch())

@@ -164,8 +164,7 @@ class Tuner:
             store=self.store, jobs=self.jobs, verify=self.verify,
             workload=workload, dataset_cache=self.dataset_cache,
             client=self.service, training_log=log,
-            oracle=(ExperimentRunner._canonical_oracle(named.name)
-                    if named.exact else None))
+            oracle=named.name if named.exact else None)
         return named.scorer(sim, training_log=log)
 
     def _canonical_workload(self, app: str, workload):

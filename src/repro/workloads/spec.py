@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
+from ..registry import Registry
+
 #: structural kinds the apps consume (App.kind must match)
 KINDS = ("graph", "tree")
 
@@ -183,40 +185,17 @@ def parse_workload(ref: str) -> tuple[str, dict]:
 
 #: name -> spec; insertion order is the presentation order of
 #: ``repro workloads list`` and the sensitivity sweep
-_REGISTRY: dict[str, WorkloadSpec] = {}
+_REGISTRY: Registry[WorkloadSpec] = Registry("workload", WorkloadSpec)
 
-
-def register_workload(spec: WorkloadSpec,
-                      replace: bool = False) -> WorkloadSpec:
-    """Add a workload spec to the registry (validated); returns it."""
-    if not isinstance(spec, WorkloadSpec):
-        raise TypeError(f"expected a WorkloadSpec instance, got {spec!r}")
-    if spec.name in _REGISTRY and not replace:
-        raise ValueError(f"workload {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def unregister_workload(name: str) -> None:
-    """Remove a workload (test/plugin cleanup)."""
-    if name not in _REGISTRY:
-        raise KeyError(f"workload {name!r} is not registered")
-    del _REGISTRY[name]
-
-
-def get_workload(name: str) -> WorkloadSpec:
-    """Look up a spec by bare name (no parameter suffix)."""
-    spec = _REGISTRY.get(name)
-    if spec is None:
-        raise KeyError(
-            f"unknown workload {name!r}; available: "
-            f"{', '.join(available_workloads())}")
-    return spec
+register_workload = _REGISTRY.register
+unregister_workload = _REGISTRY.unregister
+#: look up a spec by bare name (no parameter suffix)
+get_workload = _REGISTRY.get
 
 
 def available_workloads(kind: Optional[str] = None) -> tuple[str, ...]:
     """Registered workload names (optionally one kind), in order."""
-    return tuple(name for name, spec in _REGISTRY.items()
+    return tuple(spec.name for spec in _REGISTRY.values()
                  if kind is None or spec.kind == kind)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.apps import BASIC, BLOCK, FLAT, GRID, VARIANTS, WARP, all_apps, get_app
+from repro.experiments import RunSpec
 
 SCALE = 0.25
 
@@ -45,7 +46,7 @@ class TestRegistry:
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_variant_correct(key, variant, datasets):
     app = get_app(key)
-    run = app.run(variant, dataset=datasets[key])
+    run = app.run(RunSpec(app.key, variant), dataset=datasets[key])
     assert run.checked
     if variant in (WARP, BLOCK, GRID):
         assert run.report is not None
@@ -56,24 +57,24 @@ def test_variant_correct(key, variant, datasets):
 @pytest.mark.parametrize("key", APP_KEYS)
 def test_consolidation_reduces_launches(key, datasets):
     app = get_app(key)
-    basic = app.run(BASIC, dataset=datasets[key])
-    grid = app.run(GRID, dataset=datasets[key])
+    basic = app.run(RunSpec(app.key, BASIC), dataset=datasets[key])
+    grid = app.run(RunSpec(app.key, GRID), dataset=datasets[key])
     assert grid.metrics.device_launches < basic.metrics.device_launches / 4
 
 
 @pytest.mark.parametrize("key", APP_KEYS)
 def test_grid_consolidation_beats_basic(key, datasets):
     app = get_app(key)
-    basic = app.run(BASIC, dataset=datasets[key])
-    grid = app.run(GRID, dataset=datasets[key])
+    basic = app.run(RunSpec(app.key, BASIC), dataset=datasets[key])
+    grid = app.run(RunSpec(app.key, GRID), dataset=datasets[key])
     assert grid.metrics.cycles < basic.metrics.cycles
 
 
 @pytest.mark.parametrize("key", APP_KEYS)
 def test_warp_efficiency_improves(key, datasets):
     app = get_app(key)
-    basic = app.run(BASIC, dataset=datasets[key])
-    grid = app.run(GRID, dataset=datasets[key])
+    basic = app.run(RunSpec(app.key, BASIC), dataset=datasets[key])
+    grid = app.run(RunSpec(app.key, GRID), dataset=datasets[key])
     assert (grid.metrics.warp_execution_efficiency
             > basic.metrics.warp_execution_efficiency)
 
@@ -83,15 +84,18 @@ class TestAllocatorChoice:
         app = get_app("sssp")
         cycles = {}
         for alloc in ("default", "halloc", "custom"):
-            run = app.run(BLOCK, dataset=datasets["sssp"], allocator=alloc)
+            run = app.run(RunSpec(app.key, BLOCK, allocator=alloc),
+                          dataset=datasets["sssp"])
             assert run.checked
             cycles[alloc] = run.metrics.cycles
         assert cycles["custom"] < cycles["default"]
 
     def test_allocator_is_irrelevant_for_flat(self, datasets):
         app = get_app("spmv")
-        a = app.run(FLAT, dataset=datasets["spmv"], allocator="default")
-        b = app.run(FLAT, dataset=datasets["spmv"], allocator="custom")
+        a = app.run(RunSpec(app.key, FLAT, allocator="default"),
+                    dataset=datasets["spmv"])
+        b = app.run(RunSpec(app.key, FLAT, allocator="custom"),
+                    dataset=datasets["spmv"])
         assert a.metrics.cycles == b.metrics.cycles
 
 
@@ -104,30 +108,30 @@ class TestAppDetails:
         g = Graph("t", np.array([0, 1, 1, 1]),
                   np.array([1], dtype=np.int32), np.array([5], dtype=np.int32))
         app = get_app("sssp")
-        run = app.run(BASIC, dataset=g)
+        run = app.run(RunSpec(app.key, BASIC), dataset=g)
         assert run.result[2] == INF
         assert run.result[1] == 5
 
     def test_gc_coloring_is_proper(self, datasets):
         app = get_app("gc")
-        run = app.run(GRID, dataset=datasets["gc"])
+        run = app.run(RunSpec(app.key, GRID), dataset=datasets["gc"])
         g = datasets["gc"]
         src = np.repeat(np.arange(g.num_nodes), np.diff(g.row_ptr))
         assert not np.any(run.result[src] == run.result[g.col_idx])
 
     def test_bfs_flat_gives_true_distances(self, datasets):
         app = get_app("bfs_rec")
-        run = app.run(FLAT, dataset=datasets["bfs_rec"])
+        run = app.run(RunSpec(app.key, FLAT), dataset=datasets["bfs_rec"])
         assert np.array_equal(run.result, app.reference(datasets["bfs_rec"]))
 
     def test_th_height_exact(self, datasets):
         app = get_app("th")
         for variant in (BASIC, GRID):
-            run = app.run(variant, dataset=datasets["th"])
+            run = app.run(RunSpec(app.key, variant), dataset=datasets["th"])
             assert run.result[0] == datasets["th"].height()
 
     def test_td_solo_thread_launch_explosion(self, datasets):
         # TD's basic-dp launches one kernel per node: the paper's worst case
         app = get_app("td")
-        run = app.run(BASIC, dataset=datasets["td"])
+        run = app.run(RunSpec(app.key, BASIC), dataset=datasets["td"])
         assert run.metrics.device_launches == datasets["td"].num_nodes - 1

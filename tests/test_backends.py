@@ -220,9 +220,9 @@ def test_cpu_backend_matches_sim(key, variant, datasets):
     must equal the simulator's element for element (bitwise — the CPU
     interpreter replays the sim's exact schedule)."""
     app = get_app(key)
-    sim = app.run(variant, dataset=datasets[key], verify=False)
-    cpu = app.run(variant, dataset=datasets[key], verify=False,
-                  backend="cpu")
+    sim = app.run(RunSpec(key, variant), dataset=datasets[key], verify=False)
+    cpu = app.run(RunSpec(key, variant, backend="cpu"),
+                  dataset=datasets[key], verify=False)
     assert cpu.backend == "cpu" and sim.backend is None
     np.testing.assert_array_equal(
         cpu.result, sim.result,

@@ -25,6 +25,7 @@ from hypothesis import example, given, settings
 
 from repro.apps import BASIC, BLOCK, GRID, WARP, all_apps, get_app
 from repro.errors import SimulationError
+from repro.experiments import RunSpec
 from repro.oracle import (
     BUILTIN_ORACLES,
     DEFAULT_ORACLE,
@@ -145,7 +146,8 @@ class TestEngineSelection:
 
     def test_app_run_rejects_learned_oracle(self):
         with pytest.raises(ValueError, match="tuning prefilter"):
-            get_app("sssp").run("flat", scale=SCALE, oracle="surrogate")
+            get_app("sssp").run(RunSpec("sssp", "flat", oracle="surrogate"),
+                                scale=SCALE)
 
 
 # -- the differential harness -------------------------------------------------
@@ -161,9 +163,10 @@ def datasets():
 
 def _assert_engines_agree(key, variant, dataset, **axes):
     app = get_app(key)
-    vec = app.run(variant, dataset=dataset, verify=False, **axes)
-    ref = app.run(variant, dataset=dataset, verify=False,
-                  oracle="sim-scalar", **axes)
+    vec = app.run(RunSpec(key, variant, **axes), dataset=dataset,
+                  verify=False)
+    ref = app.run(RunSpec(key, variant, oracle="sim-scalar", **axes),
+                  dataset=dataset, verify=False)
     assert vec.oracle is None and ref.oracle == "sim-scalar"
     assert (dataclasses.asdict(vec.metrics)
             == dataclasses.asdict(ref.metrics)), \

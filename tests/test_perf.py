@@ -8,9 +8,10 @@ Four families:
   total, and the scalar and vectorized engines agree on every
   attribution column. The rendered table for sssp/consolidated is
   pinned as a golden file (``--update-goldens`` rewrites it).
-* **never-perturb** — ``RunConfig.profile`` stays out of equality /
-  hashing / ``axes()`` / cache keys, and a profiled run's
-  ``RunMetrics`` are bitwise-identical to plain and traced runs.
+* **never-perturb** — a spec resolved or keyed under ``profiling()``
+  is the unprofiled one (the deprecated ``RunConfig.profile`` hook stays
+  out of identity too), and a profiled run's ``RunMetrics`` are
+  bitwise-identical to plain and traced runs.
 * **ledger** — idempotent content-keyed ingestion, direction
   heuristics, the noise floor, and the regression gate (pass fresh,
   fail on an injected regression, unknown cells never gate).
@@ -32,8 +33,8 @@ from repro.perf.ledger import (DEFAULT_NOISE_FLOOR, LEDGER_FORMAT, PerfLedger,
 from repro.perf.report import (PROFILE_FORMAT, build_profile,
                                profile_chrome_trace, profile_to_json,
                                render_occupancy, render_profile)
-from repro.run_config import RunConfig
-from repro.telemetry import validate_chrome_trace
+from repro.experiments import ExperimentRunner, ResultStore, RunSpec
+from repro.telemetry import Tracer, tracing, validate_chrome_trace
 
 SCALE = 0.05
 GOLDEN_DIR = Path(__file__).parent / "fixtures" / "golden_profile"
@@ -43,7 +44,7 @@ def _profiled_run(variant="consolidated", **overrides):
     app = get_app("sssp")
     dataset = app.default_dataset(SCALE)
     with profiling() as collector:
-        run = app.run(RunConfig(variant=variant, **overrides),
+        run = app.run(RunSpec("sssp", variant, **overrides),
                       dataset=dataset)
     return run, build_profile(collector, label=f"sssp {variant}")
 
@@ -133,51 +134,78 @@ class TestAttribution:
 
 class TestNonPerturbation:
     def test_profile_is_not_identity(self):
-        plain = RunConfig(variant="consolidated", strategy="warp")
-        profiled = RunConfig(variant="consolidated", strategy="warp",
-                             profile="/tmp/p.json")
-        assert plain == profiled
-        assert hash(plain) == hash(profiled)
-        assert "profile" not in plain.axes()
-        assert plain.axes() == profiled.axes()
+        assert "profile" not in {f.name for f in dataclasses.fields(RunSpec)}
+        runner = ExperimentRunner(scale=SCALE)
+        spec = RunSpec("sssp", "consolidated", strategy="warp")
+        plain = runner.resolve(spec)
+        with profiling():
+            profiled = runner.resolve(spec)
+        assert profiled == plain
+        assert hash(profiled) == hash(plain)
 
     def test_profile_never_reaches_the_cache_key(self):
-        from repro.experiments import RunSpec
+        def key(runner):
+            return runner._content_key(
+                runner.resolve(RunSpec("sssp", "grid-level")))
 
-        profiled = RunConfig(variant="grid-level", profile="p.json")
-        spec = RunSpec.from_config("sssp", profiled)
-        assert spec == RunSpec.from_config("sssp", RunConfig(
-            variant="grid-level"))
-        assert not hasattr(spec, "profile")
+        plain = key(ExperimentRunner(scale=SCALE))
+        with profiling():
+            assert key(ExperimentRunner(scale=SCALE)) == plain
 
     def test_profiled_store_entry_is_shared(self, tmp_path):
-        from repro.experiments import ExperimentRunner, ResultStore
-
-        runner = ExperimentRunner(scale=SCALE, verify=False,
-                                  store=ResultStore(tmp_path / "cache"))
-        runner.run_config("sssp", RunConfig(variant="basic-dp"))
-        assert runner.stats.executed == 1
-        runner.run_config("sssp", RunConfig(variant="basic-dp",
-                                            profile=str(tmp_path / "p.json")))
-        assert runner.stats.executed == 1  # a hit, not a fork
+        store = ResultStore(tmp_path / "cache")
+        spec = RunSpec("sssp", "basic-dp")
+        ExperimentRunner(scale=SCALE, verify=False, store=store).run_spec(spec)
+        profiled = ExperimentRunner(scale=SCALE, verify=False, store=store)
+        with profiling():
+            profiled.run_spec(spec)
+        # a disk hit on the unprofiled run's entry, not a fork
+        assert profiled.stats.executed == 0
+        assert profiled.stats.disk_hits == 1
 
     def test_three_way_metrics_bitwise_identical(self, tmp_path):
         app = get_app("sssp")
         dataset = app.default_dataset(SCALE)
-        plain = app.run(RunConfig(variant="consolidated"), dataset=dataset)
-        traced = app.run(RunConfig(variant="consolidated",
-                                   trace=str(tmp_path / "t.json")),
-                         dataset=dataset)
-        profiled = app.run(RunConfig(variant="consolidated",
-                                     profile=str(tmp_path / "p.json")),
-                           dataset=dataset)
+        spec = RunSpec("sssp", "consolidated")
+        plain = app.run(spec, dataset=dataset)
+        with tracing(Tracer()):
+            traced = app.run(spec, dataset=dataset)
+        with profiling() as collector:
+            profiled = app.run(spec, dataset=dataset)
         reference = _float_bits(dataclasses.asdict(plain.metrics))
         assert _float_bits(dataclasses.asdict(traced.metrics)) == reference
         assert _float_bits(dataclasses.asdict(profiled.metrics)) == reference
+        obj = profile_to_json(build_profile(collector, label="sssp"))
+        assert obj["format"] == PROFILE_FORMAT
+        assert obj["total_cycles"] == plain.metrics.cycles
+
+    def test_run_config_profile_hook(self, tmp_path):
+        """The deprecated ``RunConfig(profile=...)`` hook still writes the
+        profile and still leaves metrics and the store entry alone."""
+        from repro.run_config import RunConfig
+
+        app = get_app("sssp")
+        dataset = app.default_dataset(SCALE)
+        plain = app.run(RunSpec("sssp", "consolidated"), dataset=dataset)
+        with pytest.deprecated_call():
+            cfg = RunConfig(variant="consolidated",
+                            profile=str(tmp_path / "p.json"))
+            assert cfg == RunConfig(variant="consolidated")
+            assert "profile" not in cfg.axes()
+            profiled = app.run(cfg, dataset=dataset)
+        assert (_float_bits(dataclasses.asdict(profiled.metrics))
+                == _float_bits(dataclasses.asdict(plain.metrics)))
         with open(tmp_path / "p.json", encoding="utf-8") as fh:
             obj = json.load(fh)
         assert obj["format"] == PROFILE_FORMAT
         assert obj["total_cycles"] == plain.metrics.cycles
+        runner = ExperimentRunner(scale=SCALE, verify=False,
+                                  store=ResultStore(tmp_path / "cache"))
+        runner.run_spec(RunSpec("sssp", "basic-dp"))
+        with pytest.deprecated_call():
+            runner.run_config("sssp", RunConfig(
+                variant="basic-dp", profile=str(tmp_path / "q.json")))
+        assert runner.stats.executed == 1  # a hit, not a fork
 
 
 # -- Chrome trace export -------------------------------------------------------

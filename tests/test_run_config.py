@@ -1,14 +1,16 @@
-"""The unified RunConfig value and its compatibility guarantees.
+"""One run type, its one canonicalizer, and the deprecated spellings.
 
-Three things are under test: (1) construction-time canonicalization —
-two configs describing the same run compare and hash equal, whatever
-spelling built them; (2) the frozen-payload run-key regression — adding
+Three things are under test: (1) canonicalization — ``RunSpec.canonical``
+folds every spelling of a run onto one value, and construction itself
+never validates; (2) the frozen-payload run-key regression — adding
 the ``oracle`` axis (like ``workload`` and ``backend`` before it) must
 leave every pre-existing content address byte-identical, with no
-STORE_FORMAT bump; (3) the entry points — ``App.run(RunConfig)``,
-``ExperimentRunner.run_config``, the service wire format, and the CLI's
-``--oracle`` flag — all lower onto the same cache entries as the legacy
-per-axis keywords they subsume.
+STORE_FORMAT bump; (3) the entry points — ``App.run(RunSpec)``, the
+runner, the service wire format and the CLI's ``--oracle`` flag — and
+the deprecated shims (``RunConfig``, ``RunSpec.from_config``,
+``ExperimentRunner.run_config``, ``App.run``'s per-axis keywords), each
+of which must warn and land on the same metrics and cache entry as the
+``RunSpec`` spelling.
 """
 
 import dataclasses
@@ -30,62 +32,83 @@ from repro.sim.specs import DEFAULT_COST_MODEL, K20C
 SCALE = 0.08
 
 
+def canon(variant="basic-dp", app="sssp", **axes):
+    return RunSpec(app, variant, **axes).canonical()
+
+
+def metrics(run):
+    return dataclasses.asdict(run.metrics)
+
+
 # -- canonicalization ---------------------------------------------------------
 
 
 class TestCanonicalization:
     def test_strategy_spellings_collapse(self):
-        assert (RunConfig(variant="consolidated", strategy="warp")
-                == RunConfig(variant="warp-level"))
-        assert (hash(RunConfig(variant="consolidated", strategy="grid"))
-                == hash(RunConfig(variant="grid-level")))
+        assert (canon("consolidated", strategy="warp")
+                == RunSpec("sssp", "warp-level"))
+        assert (hash(canon("consolidated", strategy="grid"))
+                == hash(RunSpec("sssp", "grid-level")))
 
     def test_default_oracle_and_backend_fold_to_none(self):
-        assert RunConfig(oracle="sim") == RunConfig()
-        assert RunConfig(oracle="sim").oracle is None
-        assert RunConfig(backend="sim") == RunConfig()
-        assert RunConfig(backend="sim").backend is None
+        assert canon(oracle="sim") == RunSpec("sssp", "basic-dp")
+        assert canon(oracle="sim").oracle is None
+        assert canon(backend="sim") == RunSpec("sssp", "basic-dp")
+        assert canon(backend="sim").backend is None
 
     def test_non_default_axes_survive(self):
-        cfg = RunConfig(variant="flat", oracle="sim-scalar", backend="cpu")
-        assert cfg.oracle == "sim-scalar" and cfg.backend == "cpu"
-        assert cfg != RunConfig(variant="flat")
+        spec = canon("flat", oracle="sim-scalar", backend="cpu")
+        assert spec.oracle == "sim-scalar" and spec.backend == "cpu"
+        assert spec != RunSpec("sssp", "flat")
 
     def test_live_launch_config_folds_to_triple(self):
-        cfg = RunConfig(variant="warp-level",
-                        config=LaunchConfig(mode="explicit", blocks=4,
-                                            threads=128))
-        assert cfg.config == ("explicit", 4, 128)
-        assert cfg == RunConfig(variant="warp-level",
-                                config=("explicit", 4, 128))
+        spec = canon("warp-level", config=LaunchConfig(
+            mode="explicit", blocks=4, threads=128))
+        assert spec.config == ("explicit", 4, 128)
+        assert spec == RunSpec("sssp", "warp-level",
+                               config=("explicit", 4, 128))
 
     def test_threshold_coerced_to_int(self):
-        assert RunConfig(threshold="32").threshold == 32
-        assert RunConfig(variant="warp-level", threshold=8.0).threshold == 8
+        assert canon(threshold="32").threshold == 32
+        eight = canon("warp-level", threshold=8.0).threshold
+        assert eight == 8 and type(eight) is int
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            RunConfig().variant = "flat"
+            RunSpec("sssp", "basic-dp").variant = "flat"
 
     def test_contradictory_variant_strategy_rejected(self):
+        spec = RunSpec("sssp", "warp-level", strategy="grid")  # a record
         with pytest.raises(ValueError, match="contradicts"):
-            RunConfig(variant="warp-level", strategy="grid")
+            spec.canonical()
 
     def test_learned_oracle_rejected(self):
         with pytest.raises(ValueError, match="tuning prefilter"):
-            RunConfig(oracle="surrogate")
+            canon(oracle="surrogate")
 
     def test_unknown_oracle_rejected(self):
         with pytest.raises(OracleError, match="sim-scalar"):
-            RunConfig(oracle="delphi")
+            canon(oracle="delphi")
 
     def test_emit_only_backend_rejected(self):
         with pytest.raises(ValueError, match="does not execute"):
-            RunConfig(backend="cuda")
+            canon(backend="cuda")
+
+    def test_canonical_is_idempotent_without_copying(self):
+        spec = canon("consolidated", strategy="block", backend="sim",
+                     threshold=8.0, workload="star(seed=5)")
+        assert spec.canonical() is spec
+        assert spec.workload == "star"
+
+    def test_fill_only_sets_unset_fields(self):
+        spec = RunSpec("sssp", "basic-dp", threshold=4)
+        filled = spec.canonical(cost=DEFAULT_COST_MODEL, threshold=8)
+        assert filled.threshold == 4 and filled.cost == DEFAULT_COST_MODEL
 
     def test_describe_and_axes(self):
-        cfg = RunConfig(variant="consolidated", strategy="warp",
-                        threshold=16, oracle="sim-scalar")
+        with pytest.deprecated_call():
+            cfg = RunConfig(variant="consolidated", strategy="warp",
+                            threshold=16, oracle="sim-scalar")
         text = cfg.describe()
         assert "warp-level" in text and "threshold=16" in text
         assert "oracle=sim-scalar" in text
@@ -95,11 +118,21 @@ class TestCanonicalization:
             "allocator": "custom", "config": None,
         }
 
+    def test_run_config_reuses_the_canonicalizer(self):
+        with pytest.deprecated_call():
+            assert (RunConfig(variant="consolidated", strategy="warp")
+                    == RunConfig(variant="warp-level"))
+            assert RunConfig(oracle="sim", backend="sim") == RunConfig()
+            assert RunConfig(threshold="32").threshold == 32
+            with pytest.raises(ValueError, match="contradicts"):
+                RunConfig(variant="warp-level", strategy="grid")
+
     def test_from_config_maps_every_axis(self):
-        cfg = RunConfig(variant="warp-level", threshold=16,
-                        workload="kron(seed=9)", oracle="sim-scalar",
-                        config=("explicit", 4, 128))
-        spec = RunSpec.from_config("sssp", cfg)
+        with pytest.deprecated_call():
+            cfg = RunConfig(variant="warp-level", threshold=16,
+                            workload="kron(seed=9)", oracle="sim-scalar",
+                            config=("explicit", 4, 128))
+            spec = RunSpec.from_config("sssp", cfg)
         assert spec == RunSpec(
             app="sssp", variant="warp-level", threshold=16,
             workload="kron(seed=9)", oracle="sim-scalar",
@@ -160,24 +193,39 @@ class TestRunKeyCompat:
 
 class TestAppRunEntry:
     def test_run_config_matches_legacy_kwargs(self):
+        """Both deprecated App.run spellings warn and run exactly what
+        the RunSpec spelling runs."""
         app = get_app("sssp")
         ds = app.default_dataset(SCALE)
-        legacy = app.run("consolidated", strategy="warp", threshold=16,
-                         dataset=ds, verify=False)
-        unified = app.run(RunConfig(variant="consolidated", strategy="warp",
-                                    threshold=16), dataset=ds, verify=False)
-        assert (dataclasses.asdict(legacy.metrics)
-                == dataclasses.asdict(unified.metrics))
-        assert unified.variant == "warp-level"
+        spec = app.run(RunSpec("sssp", "consolidated", strategy="warp",
+                               threshold=16), dataset=ds, verify=False)
+        with pytest.deprecated_call():
+            legacy = app.run("consolidated", strategy="warp", threshold=16,
+                             dataset=ds, verify=False)
+        with pytest.deprecated_call():
+            unified = app.run(RunConfig(variant="consolidated",
+                                        strategy="warp", threshold=16),
+                              dataset=ds, verify=False)
+        assert metrics(legacy) == metrics(spec) == metrics(unified)
+        assert spec.variant == legacy.variant == unified.variant == \
+            "warp-level"
 
     def test_clashing_keywords_rejected(self):
         app = get_app("sssp")
-        with pytest.raises(ValueError, match="threshold"):
+        with pytest.deprecated_call(), \
+                pytest.raises(ValueError, match="threshold"):
             app.run(RunConfig(variant="warp-level"), threshold=8,
                     scale=SCALE)
-        with pytest.raises(ValueError, match="allocator"):
+        with pytest.deprecated_call(), \
+                pytest.raises(ValueError, match="allocator"):
             app.run(RunConfig(variant="warp-level"), allocator="halloc",
                     scale=SCALE)
+        with pytest.raises(ValueError, match="threshold"):
+            app.run(RunSpec("sssp", "warp-level"), threshold=8, scale=SCALE)
+
+    def test_spec_for_another_app_rejected(self):
+        with pytest.raises(ValueError, match="spmv"):
+            get_app("sssp").run(RunSpec("spmv", "no-dp"), scale=SCALE)
 
 
 class TestRunnerEntry:
@@ -185,20 +233,24 @@ class TestRunnerEntry:
         runner = ExperimentRunner(scale=SCALE,
                                   store=ResultStore(tmp_path / "store"))
         legacy = runner.run("sssp", "warp-level", threshold=16)
-        unified = runner.run_config(
-            "sssp", RunConfig(variant="consolidated", strategy="warp",
-                              threshold=16))
+        with pytest.deprecated_call():
+            unified = runner.run_config(
+                "sssp", RunConfig(variant="consolidated", strategy="warp",
+                                  threshold=16))
         assert unified is legacy  # one cache entry, not two
+        assert runner.run_spec(RunSpec("sssp", "consolidated",
+                                       strategy="warp",
+                                       threshold=16)) is legacy
+        assert runner.stats.executed == 1
 
     def test_oracle_forks_key_but_not_metrics(self, tmp_path):
         runner = ExperimentRunner(scale=SCALE,
                                   store=ResultStore(tmp_path / "store"))
-        vec = runner.run_config("sssp", RunConfig(variant="warp-level"))
-        ref = runner.run_config(
-            "sssp", RunConfig(variant="warp-level", oracle="sim-scalar"))
+        vec = runner.run_spec(RunSpec("sssp", "warp-level"))
+        ref = runner.run_spec(RunSpec("sssp", "warp-level",
+                                      oracle="sim-scalar"))
         assert ref is not vec  # distinct cache entries (provenance fork)
-        assert (dataclasses.asdict(ref.metrics)
-                == dataclasses.asdict(vec.metrics))
+        assert metrics(ref) == metrics(vec)
 
     def test_explicit_sim_oracle_folds_onto_default(self, tmp_path):
         runner = ExperimentRunner(scale=SCALE,
@@ -214,8 +266,7 @@ class TestWireFormat:
 
         bare = spec_to_wire(RunSpec(app="sssp", variant="flat"))
         assert "oracle" not in bare
-        spec = RunSpec.from_config(
-            "sssp", RunConfig(variant="warp-level", oracle="sim-scalar"))
+        spec = RunSpec("sssp", "warp-level", oracle="sim-scalar")
         wire = spec_to_wire(spec)
         assert wire["oracle"] == "sim-scalar"
         assert spec_from_wire(wire) == spec
@@ -225,6 +276,8 @@ class TestWireFormat:
 
         with pytest.raises(ProtocolError):
             spec_from_wire({"app": "sssp", "variant": "flat", "oracle": 3})
+        with pytest.raises(ProtocolError, match="backend"):
+            spec_from_wire({"app": "sssp", "variant": "flat", "backend": 3})
 
 
 class TestCliOracle:

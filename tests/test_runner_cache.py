@@ -280,6 +280,29 @@ class TestMissingCacheDir:
         assert len(runner.store) == 1
 
 
+class TestRegisteredDatasets:
+    def test_reregistering_a_name_drops_its_runs(self):
+        """Re-registering a dataset name must not serve the old
+        dataset's memoized run (a memory hit would also skip verify);
+        runs on other names stay cached."""
+        from repro.apps import get_app
+
+        app = get_app("sssp")
+        small, large = app.default_dataset(0.08), app.default_dataset(0.15)
+        runner = ExperimentRunner(scale=SCALE)
+        runner.register_dataset("sssp", "d", small)
+        runner.register_dataset("sssp", "other", small)
+        first = runner.run("sssp", "basic-dp", dataset="d")
+        kept = runner.run("sssp", "basic-dp", dataset="other")
+        runner.register_dataset("sssp", "d", large)
+        second = runner.run("sssp", "basic-dp", dataset="d")
+        assert runner.stats.executed == 3
+        assert len(first.result) == small.num_nodes
+        assert len(second.result) == large.num_nodes != small.num_nodes
+        assert second.checked
+        assert runner.run("sssp", "basic-dp", dataset="other") is kept
+
+
 class TestWorkPlans:
     def test_dedupe_preserves_order(self):
         a = RunSpec("spmv", "basic-dp")

@@ -8,6 +8,7 @@ every test exercises the same code paths ``repro serve`` does.
 """
 
 import asyncio
+import dataclasses
 import socket
 import threading
 
@@ -66,9 +67,18 @@ class TestProtocol:
         spec = RunSpec(app="sssp", variant="consolidated", strategy="block",
                        allocator="halloc", config=(1, 13, 128),
                        threshold=32, workload="star",
-                       cost=DEFAULT_COST_MODEL.scaled(atomic_cycles=7))
+                       cost=DEFAULT_COST_MODEL.scaled(atomic_cycles=7),
+                       backend="cpu", oracle="sim-scalar")
+        # every field non-default: no axis may be dropped on the wire
+        for field in dataclasses.fields(RunSpec):
+            if field.name != "dataset":  # exclusive with workload
+                assert getattr(spec, field.name) != field.default
         wire = protocol.spec_to_wire(spec)
         assert protocol.spec_from_wire(wire) == spec
+        with_dataset = dataclasses.replace(spec, workload=None,
+                                           dataset="dataset1")
+        assert protocol.spec_from_wire(
+            protocol.spec_to_wire(with_dataset)) == with_dataset
 
     def test_defaults_stay_off_the_wire(self):
         wire = protocol.spec_to_wire(RunSpec(app="spmv", variant="no-dp"))
@@ -306,6 +316,31 @@ class TestSubmit:
                 client.submit("nope", "basic-dp")
             ok = client.submit("spmv", "no-dp")
         assert ok.source in ("executed", "cached")
+
+    def test_backend_axis_reaches_the_server(self, service):
+        """A submit's backend is run, not dropped: the cpu interpreter's
+        runs report no cycles, the simulator's do."""
+        _, sock = service
+        with ServiceClient(socket_path=sock) as client:
+            cpu = client.submit("sssp", "no-dp", backend="cpu")
+            sim = client.submit("sssp", "no-dp")
+        assert cpu.metrics.cycles == 0 and sim.metrics.cycles > 0
+        assert cpu.checked and sim.checked
+
+    def test_submit_config_shim(self, service):
+        """The deprecated ``submit_config`` warns and lands on the
+        RunSpec spelling's cache entry."""
+        from repro.run_config import RunConfig
+
+        _, sock = service
+        with ServiceClient(socket_path=sock) as client:
+            spec = client.submit_spec(RunSpec("spmv", "grid-level"))
+            with pytest.deprecated_call():
+                shim = client.submit_config(
+                    "spmv", RunConfig(variant="consolidated",
+                                      strategy="grid"))
+        assert shim.source == "cached"
+        assert shim.metrics == spec.metrics
 
     def test_variant_strategy_contradiction_is_clean(self, service):
         _, sock = service

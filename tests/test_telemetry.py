@@ -5,9 +5,10 @@ Three families:
 * the subsystem itself — span nesting/scoping/bounding, the Chrome
   trace exporter (every export is schema-checked), the metrics
   registry and its Prometheus rendering;
-* the **never-perturb** invariants the ISSUE pins: telemetry off
-  allocates no spans, ``RunConfig.trace`` stays out of equality /
-  hashing / ``axes()`` / cache keys, and a traced run's ``RunMetrics``
+* the **never-perturb** invariants: telemetry off allocates no spans,
+  a spec resolved or keyed under ``tracing()`` is the untraced one
+  (``RunSpec`` has no trace field; the deprecated ``RunConfig.trace``
+  hook stays out of identity too), and a traced run's ``RunMetrics``
   are bitwise-identical to an untraced one;
 * the ``ServiceMetrics`` fold onto the registry — the original
   attribute surface, ``snapshot()`` and ``describe_status`` rendering
@@ -243,68 +244,108 @@ class TestMetricsRegistry:
 # -- never-perturb invariants --------------------------------------------------
 
 class TestNonPerturbation:
-    def test_trace_is_not_identity(self):
-        from repro.run_config import RunConfig
+    """Observing a run is ``tracing()``'s job, never the run's: a spec
+    has no trace field, so resolution, keys, store entries and metrics
+    cannot depend on whether a tracer is active."""
 
-        plain = RunConfig(variant="consolidated", strategy="warp")
-        traced = RunConfig(variant="consolidated", strategy="warp",
-                           trace="/tmp/t.json")
-        assert plain == traced
-        assert hash(plain) == hash(traced)
-        assert "trace" not in plain.axes()
-        assert plain.axes() == traced.axes()
+    def test_trace_is_not_identity(self):
+        from repro.experiments import ExperimentRunner, RunSpec
+
+        assert "trace" not in {f.name for f in dataclasses.fields(RunSpec)}
+        runner = ExperimentRunner(scale=SCALE)
+        spec = RunSpec("sssp", "consolidated", strategy="warp")
+        plain = runner.resolve(spec)
+        with tracing(Tracer()):
+            traced = runner.resolve(spec)
+        assert traced == plain
+        assert hash(traced) == hash(plain)
 
     def test_trace_never_reaches_the_cache_key(self):
-        from repro.experiments import RunSpec
-        from repro.run_config import RunConfig
+        from repro.experiments import ExperimentRunner, RunSpec
 
-        traced = RunConfig(variant="grid-level", trace="t.json")
-        spec = RunSpec.from_config("sssp", traced)
-        assert spec == RunSpec.from_config("sssp", RunConfig(
-            variant="grid-level"))
-        assert not hasattr(spec, "trace")
+        def key(runner):
+            return runner._content_key(
+                runner.resolve(RunSpec("sssp", "grid-level")))
+
+        plain = key(ExperimentRunner(scale=SCALE))
+        tracer = Tracer()
+        with tracing(tracer):
+            assert key(ExperimentRunner(scale=SCALE)) == plain
+        assert len(tracer) > 0  # the tracer was live, and still no fork
 
     def test_traced_store_entry_is_shared(self, tmp_path):
-        from repro.experiments import ExperimentRunner, ResultStore
-        from repro.run_config import RunConfig
+        from repro.experiments import ExperimentRunner, ResultStore, RunSpec
 
-        runner = ExperimentRunner(scale=SCALE, verify=False,
-                                  store=ResultStore(tmp_path / "cache"))
-        runner.run_config("sssp", RunConfig(variant="basic-dp"))
-        assert runner.stats.executed == 1
-        runner.run_config("sssp", RunConfig(variant="basic-dp",
-                                            trace=str(tmp_path / "t.json")))
-        assert runner.stats.executed == 1  # a hit, not a fork
+        store = ResultStore(tmp_path / "cache")
+        spec = RunSpec("sssp", "basic-dp")
+        ExperimentRunner(scale=SCALE, verify=False, store=store).run_spec(spec)
+        traced = ExperimentRunner(scale=SCALE, verify=False, store=store)
+        with tracing(Tracer()):
+            traced.run_spec(spec)
+        # a disk hit on the untraced run's entry, not a fork
+        assert traced.stats.executed == 0 and traced.stats.disk_hits == 1
 
     def test_traced_run_metrics_bitwise_identical(self, tmp_path):
         from repro.apps import get_app
+        from repro.experiments import RunSpec
+
+        app = get_app("sssp")
+        dataset = app.default_dataset(SCALE)
+        spec = RunSpec("sssp", "consolidated")
+        plain = app.run(spec, dataset=dataset)
+        tracer = Tracer()
+        with tracing(tracer):
+            traced = app.run(spec, dataset=dataset)
+        assert dataclasses.asdict(plain.metrics) == \
+            dataclasses.asdict(traced.metrics)
+        assert traced.checked == plain.checked
+        obj = chrome_trace(tracer)
+        assert validate_chrome_trace(obj) >= 3
+        names = {e["name"] for e in obj["traceEvents"] if e["ph"] == "X"}
+        # the deterministic sim-phase taxonomy
+        assert {"app.verify", "sim.codegen", "sim.round-loop"} <= names
+
+    def test_run_config_trace_hook(self, tmp_path):
+        """The deprecated ``RunConfig(trace=...)`` hook still writes a
+        trace rooted at ``app.run`` and still leaves metrics and the
+        store entry alone."""
+        from repro.apps import get_app
+        from repro.experiments import (ExperimentRunner, ResultStore,
+                                       RunSpec)
         from repro.run_config import RunConfig
 
         app = get_app("sssp")
         dataset = app.default_dataset(SCALE)
-        plain = app.run(RunConfig(variant="consolidated"), dataset=dataset)
+        plain = app.run(RunSpec("sssp", "consolidated"), dataset=dataset)
         trace_path = tmp_path / "run.json"
-        traced = app.run(RunConfig(variant="consolidated",
-                                   trace=str(trace_path)), dataset=dataset)
+        with pytest.deprecated_call():
+            cfg = RunConfig(variant="consolidated", trace=str(trace_path))
+            assert cfg == RunConfig(variant="consolidated")
+            assert "trace" not in cfg.axes()
+            traced = app.run(cfg, dataset=dataset)
         assert dataclasses.asdict(plain.metrics) == \
             dataclasses.asdict(traced.metrics)
-        assert traced.checked == plain.checked
         with open(trace_path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        assert validate_chrome_trace(obj) >= 4
         names = {e["name"] for e in obj["traceEvents"] if e["ph"] == "X"}
-        # the deterministic sim-phase taxonomy, rooted at app.run
         assert {"app.run", "app.verify", "sim.codegen",
                 "sim.round-loop"} <= names
+        runner = ExperimentRunner(scale=SCALE, verify=False,
+                                  store=ResultStore(tmp_path / "cache"))
+        runner.run_spec(RunSpec("sssp", "basic-dp"))
+        with pytest.deprecated_call():
+            runner.run_config("sssp", RunConfig(
+                variant="basic-dp", trace=str(tmp_path / "t.json")))
+        assert runner.stats.executed == 1  # a hit, not a fork
 
     def test_untraced_run_records_no_spans(self):
         from repro.apps import get_app
-        from repro.run_config import RunConfig
+        from repro.experiments import RunSpec
 
         tracer = Tracer()
         app = get_app("sssp")
         dataset = app.default_dataset(SCALE)
-        app.run(RunConfig(variant="basic-dp"), dataset=dataset, verify=False)
+        app.run(RunSpec("sssp", "basic-dp"), dataset=dataset, verify=False)
         assert len(tracer) == 0 and not enabled()
 
     def test_cli_trace_covers_wall_clock(self, tmp_path, capsys):

@@ -10,7 +10,8 @@ import json
 
 import pytest
 
-from repro.experiments import ExperimentRunner, ResultStore, ablation_threshold
+from repro.experiments import (ExperimentRunner, ResultStore, RunSpec,
+                               ablation_threshold)
 from repro.sim.occupancy import kc_config
 from repro.sim.specs import K20C
 from repro.tuning import (
@@ -377,7 +378,7 @@ class TestTunedVariant:
         from repro.apps import get_app
 
         with pytest.raises(ValueError, match="tuned-config registry"):
-            get_app("sssp").run("tuned", scale=SCALE)
+            get_app("sssp").run(RunSpec("sssp", "tuned"), scale=SCALE)
 
 
 class TestBestThreshold:

@@ -432,6 +432,11 @@ class TestRunnerWorkloadAxis:
         with pytest.raises(ValueError, match="not both"):
             runner.run_spec(RunSpec("sssp", "basic-dp",
                                     dataset="x", workload="star"))
+        # checked on the raw field: sssp's own default workload folds
+        # onto None, but naming it beside a dataset still contradicts
+        with pytest.raises(ValueError, match="not both"):
+            runner.run_spec(RunSpec("sssp", "basic-dp",
+                                    dataset="d", workload="citeseer"))
 
     def test_kind_and_symmetry_guards(self, runner):
         with pytest.raises(ValueError, match="tree dataset"):
