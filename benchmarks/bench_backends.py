@@ -28,7 +28,7 @@ import numpy as np
 from _emit import emit_json
 
 from repro.apps import BASIC, GRID, get_app
-from repro.backends import CpuJob, run_jobs
+from repro.backends import CpuJob, get_backend, run_jobs
 from repro.experiments import RunSpec
 
 #: the differential harness's hot pairs: the cheapest and the most
@@ -51,8 +51,8 @@ def time_pairs(scale: float) -> dict:
         t0 = time.perf_counter()
         sim = app.run(RunSpec(app.key, variant), dataset=dataset, verify=False)
         t1 = time.perf_counter()
-        cpu = app.run(RunSpec(app.key, variant, backend="cpu"),
-                      dataset=dataset, verify=False)
+        cpu = app.run(RunSpec(app.key, variant), dataset=dataset,
+                      verify=False, backend=get_backend("cpu"))
         t2 = time.perf_counter()
         if not np.array_equal(sim.result, cpu.result):
             raise AssertionError(f"cpu backend diverged on {key} [{variant}]")

@@ -5,7 +5,8 @@ would be timing two different computations):
 
 * **apps** — end-to-end wall-clock per app x variant, the vectorized
   engine (the default) against the scalar reference selected via
-  ``oracle="sim-scalar"``. RunMetrics must match field for field. This
+  ``backend=SimBackend(engine="scalar")``. RunMetrics must match field
+  for field. This
   measures the *live* speedup, which is bounded by everything batching
   cannot touch (kernel-generator Python, divergent rounds, the timing
   model).
@@ -38,6 +39,7 @@ import numpy as np
 from _emit import emit_json
 
 from repro.apps import BASIC, GRID, WARP, get_app
+from repro.backends import SimBackend
 from repro.experiments import RunSpec
 from repro.sim.device import Device
 from repro.sim.engine import coalesce_round
@@ -62,8 +64,8 @@ def time_apps(scale: float, reps: int = 3) -> dict:
         scalar_s, vec_s = [], []
         for _ in range(reps):  # alternated, best-of: tames compile noise
             t0 = time.perf_counter()
-            ref = app.run(RunSpec(app.key, variant, oracle="sim-scalar"),
-                          dataset=dataset, verify=False)
+            ref = app.run(RunSpec(app.key, variant), dataset=dataset,
+                          verify=False, backend=SimBackend(engine="scalar"))
             t1 = time.perf_counter()
             vec = app.run(RunSpec(app.key, variant), dataset=dataset, verify=False)
             t2 = time.perf_counter()

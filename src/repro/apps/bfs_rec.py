@@ -85,7 +85,7 @@ class BFSRecApp(App):
     def _root(self, g) -> int:
         return int(np.argmax(g.degrees))
 
-    def host_run(self, device, program, dataset, variant):
+    def host_run(self, device, program, dataset, run):
         g = dataset
         n = g.num_nodes
         row_ptr, col_idx, _ = upload_graph(device, g)
@@ -93,7 +93,7 @@ class BFSRecApp(App):
         lv0 = np.full(n, -1, dtype=np.int32)
         lv0[root] = 0
         levels = device.from_numpy("levels", lv0)
-        if variant == FLAT:
+        if run.variant == FLAT:
             changed = device.from_numpy("changed", np.zeros(1, dtype=np.int32))
             grid = blocks_for(n)
             level = 0

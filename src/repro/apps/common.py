@@ -24,9 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .. import run_config as shims
+from ..backends import DEFAULT_BACKEND, get_backend
 from ..compiler import consolidate_source
 from ..compiler.consolidator import ConsolidationReport
+from ..errors import ReproError
 from ..registry import Registry
 from ..sim.device import Device
 from ..sim.occupancy import LaunchConfig
@@ -106,10 +107,6 @@ class AppRun:
     #: consolidation strategy, when the variant alone doesn't imply one
     #: (i.e. a non-builtin strategy ran under the 'consolidated' variant)
     strategy: Optional[str] = None
-    #: execution backend the run used; None = the default simulator
-    backend: Optional[str] = None
-    #: exact oracle (engine selection) the run used; None = the default
-    oracle: Optional[str] = None
 
 
 class App(abc.ABC):
@@ -196,12 +193,15 @@ class App(abc.ABC):
         return materialize(self.default_workload, scale)
 
     @abc.abstractmethod
-    def host_run(self, device: Device, program, dataset, variant: str) -> np.ndarray:
+    def host_run(self, device: Device, program, dataset, run) -> np.ndarray:
         """Upload, launch (loop as needed) and return the result array.
 
-        Must work unchanged for BASIC and all consolidated variants (the
-        transforms preserve the parent kernel interface); FLAT drivers may
-        branch on ``variant``.
+        ``run`` is the canonical :class:`~repro.experiments.plan.RunSpec`
+        with the app's default threshold filled in: drivers read the
+        delegation threshold from ``run.threshold`` and branch on
+        ``run.variant``. Must work unchanged for BASIC and all
+        consolidated variants (the transforms preserve the parent kernel
+        interface); FLAT drivers may branch on the variant.
         """
 
     # -- verification -----------------------------------------------------------
@@ -218,24 +218,31 @@ class App(abc.ABC):
 
     def run(self, run, dataset=None, *, scale: float = 1.0,
             spec: DeviceSpec = K20C, heap_bytes: Optional[int] = None,
-            verify: bool = True, **axes) -> AppRun:
+            verify: bool = True, backend=None) -> AppRun:
         """Execute one run of this app on a fresh device and profile it.
 
         ``run`` is a :class:`~repro.experiments.plan.RunSpec` for this
-        app; it is canonicalized here (:meth:`RunSpec.canonical`), so
-        any spelling of a run executes the same way. ``dataset`` is the
-        materialized dataset; ``None`` materializes the spec's workload
-        (or the app's default) at ``scale``. The returned :class:`AppRun`
-        is plain picklable data, so the experiment runner can execute
-        runs in worker processes and persist them in its result store.
-        To observe a run, wrap the call in ``repro.telemetry.tracing()``
-        or ``repro.perf.profiling()``; neither can change its result.
+        app; it is canonicalized here (:meth:`RunSpec.canonical`, filling
+        the app's default threshold), so any spelling of a run executes
+        the same way. ``dataset`` is the materialized dataset; ``None``
+        materializes the spec's workload (or the app's default) at
+        ``scale``. ``backend`` is where the run executes: a
+        :class:`repro.backends.Backend` that executes programs, e.g.
+        ``get_backend("cpu")`` or ``SimBackend(engine="scalar")`` for
+        differential checks; ``None`` means the simulator. It is not part
+        of the run's identity, so the experiment runner never passes it.
+        The returned :class:`AppRun` is plain picklable data, so the
+        runner can execute runs in worker processes and persist them in
+        its result store. To observe a run, wrap the call in
+        ``repro.telemetry.tracing()`` or ``repro.perf.profiling()``;
+        neither can change its result.
+
+        A :class:`~repro.errors.ReproError` raised while loading,
+        driving or synchronizing the device keeps its type and text,
+        prefixed with the app and variant.
         """
-        # deprecated RunConfig / per-axis shims, due for removal
-        if axes or isinstance(run, (str, shims.RunConfig)):
-            return shims.app_run(self, run, dataset, scale=scale, spec=spec,
-                                 heap_bytes=heap_bytes, verify=verify, **axes)
-        run = run.canonical()
+        # per-axis/RunConfig shims removed per repro.errors.DeprecationPolicy
+        run = run.canonical(threshold=self.threshold)
         if run.app != self.key:
             raise ValueError(f"{self.label} cannot run a spec for app "
                              f"{run.app!r}")
@@ -250,36 +257,22 @@ class App(abc.ABC):
                 from ..workloads import materialize_for_app
 
                 dataset = materialize_for_app(self, run.workload, scale)
-        engine = None
-        if run.oracle is not None:
-            from ..oracle import get_oracle
-
-            engine = get_oracle(run.oracle).engine
         cost = DEFAULT_COST_MODEL if run.cost is None else run.cost
-        original_threshold = self.threshold
-        if run.threshold is not None:
-            self.threshold = run.threshold
+        source, report = self.variant_source(
+            run.variant, config=run.launch_config(spec), spec=spec,
+            strategy=run.strategy)
+        if backend is None:
+            backend = get_backend(DEFAULT_BACKEND)
+        device = backend.make_device(spec=spec, cost=cost,
+                                     allocator=run.allocator,
+                                     heap_bytes=heap_bytes)
         try:
-            source, report = self.variant_source(
-                run.variant, config=run.launch_config(spec), spec=spec,
-                strategy=run.strategy)
-            if run.backend is None:
-                kwargs = {} if heap_bytes is None else {"heap_bytes": heap_bytes}
-                if engine is not None:
-                    kwargs["engine"] = engine
-                device = Device(spec=spec, cost=cost, allocator=run.allocator,
-                                **kwargs)
-            else:
-                from ..backends import get_backend
-
-                device = get_backend(run.backend).make_device(
-                    spec=spec, cost=cost, allocator=run.allocator,
-                    heap_bytes=heap_bytes, engine=engine)
             program = device.load(source)
-            result = self.host_run(device, program, dataset, run.variant)
+            result = self.host_run(device, program, dataset, run)
             metrics = device.synchronize()
-        finally:
-            self.threshold = original_threshold
+        except ReproError as exc:
+            exc.args = (f"{self.label} [{run.variant}]: {exc}",)
+            raise
         checked = False
         if verify:
             with span("app.verify", app=self.key):
@@ -298,7 +291,7 @@ class App(abc.ABC):
             app=self.key, variant=run.variant,
             dataset=dataset_name,
             metrics=metrics, result=result, report=report, checked=checked,
-            strategy=run.strategy, backend=run.backend, oracle=run.oracle,
+            strategy=run.strategy,
         )
 
 

@@ -142,7 +142,7 @@ class GraphColoringApp(App):
         rng = np.random.default_rng(9)
         return rng.permutation(n).astype(np.int32)
 
-    def host_run(self, device, program, dataset, variant):
+    def host_run(self, device, program, dataset, run):
         g = dataset
         n = g.num_nodes
         row_ptr, col_idx, _ = upload_graph(device, g)
@@ -153,12 +153,12 @@ class GraphColoringApp(App):
         grid = blocks_for(n)
         for r in range(self.max_rounds):
             nwin.data[0] = 0
-            if variant == FLAT:
+            if run.variant == FLAT:
                 program.launch("gc_flat", grid, 128, row_ptr, col_idx, colors,
                                prio, winner, nwin, n)
             else:
                 program.launch("gc_parent", grid, 128, row_ptr, col_idx,
-                               colors, prio, winner, nwin, n, self.threshold)
+                               colors, prio, winner, nwin, n, run.threshold)
             program.launch("gc_commit", grid, 128, colors, winner, r, n)
             if int(np.sum(colors.data < 0)) == 0:
                 break

@@ -104,7 +104,7 @@ class PageRankApp(App):
     def flat_source(self) -> str:
         return FLAT_SRC
 
-    def host_run(self, device, program, dataset, variant):
+    def host_run(self, device, program, dataset, run):
         g = dataset
         rg = reverse_csr(g)
         n = g.num_nodes
@@ -121,12 +121,12 @@ class PageRankApp(App):
             program.launch("pr_contrib", grid, 128, rank, outdeg, contrib,
                            DAMPING, n)
             newrank.data[:] = base  # host-side memset, as CUDA codes memset
-            if variant == FLAT:
+            if run.variant == FLAT:
                 program.launch("pr_flat", grid, 128, in_ptr, in_idx, contrib,
                                newrank, n)
             else:
                 program.launch("pr_parent", grid, 128, in_ptr, in_idx, contrib,
-                               newrank, n, self.threshold)
+                               newrank, n, run.threshold)
             rank.data[:] = newrank.data  # pointer-swap equivalent
         return rank.to_numpy()
 

@@ -82,19 +82,19 @@ class SpMVApp(App):
         rng = np.random.default_rng(5)
         return (rng.random(n, dtype=np.float32) * 2.0 - 1.0).astype(np.float32)
 
-    def host_run(self, device, program, dataset, variant):
+    def host_run(self, device, program, dataset, run):
         g = dataset
         n = g.num_nodes
         row_ptr, col_idx, values = upload_graph(device, g, weights_as_float=True)
         x = device.from_numpy("x", self._x(n))
         y = device.from_numpy("y", np.zeros(n, dtype=np.float32))
         grid = blocks_for(n)
-        if variant == FLAT:
+        if run.variant == FLAT:
             program.launch("spmv_flat", grid, 128, row_ptr, col_idx, values,
                            x, y, n)
         else:
             program.launch("spmv_parent", grid, 128, row_ptr, col_idx, values,
-                           x, y, n, self.threshold)
+                           x, y, n, run.threshold)
         return y.to_numpy()
 
     def reference(self, dataset) -> np.ndarray:

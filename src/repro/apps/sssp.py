@@ -99,7 +99,7 @@ class SSSPApp(App):
     def flat_source(self) -> str:
         return FLAT_SRC
 
-    def host_run(self, device, program, dataset, variant):
+    def host_run(self, device, program, dataset, run):
         g = dataset
         n = g.num_nodes
         row_ptr, col_idx, weights = upload_graph(device, g)
@@ -110,12 +110,12 @@ class SSSPApp(App):
         grid = blocks_for(n)
         for _ in range(self.max_iterations):
             changed.data[0] = 0
-            if variant == FLAT:
+            if run.variant == FLAT:
                 program.launch("sssp_flat", grid, 128, row_ptr, col_idx,
                                weights, dist, changed, n)
             else:
                 program.launch("sssp_parent", grid, 128, row_ptr, col_idx,
-                               weights, dist, changed, n, self.threshold)
+                               weights, dist, changed, n, run.threshold)
             if changed.data[0] == 0:
                 break
         return dist.to_numpy()

@@ -72,12 +72,12 @@ class TreeDescendantsApp(App):
     def flat_source(self) -> str:
         return FLAT_SRC
 
-    def host_run(self, device, program, dataset, variant):
+    def host_run(self, device, program, dataset, run):
         t = dataset
         n = t.num_nodes
         child_ptr, child_idx, values = upload_tree(device, t)
         total = device.from_numpy("total", np.zeros(1, dtype=np.int32))
-        if variant == FLAT:
+        if run.variant == FLAT:
             d0 = np.zeros(n, dtype=np.int32)
             d0[0] = 1
             depths = device.from_numpy("depths", d0)

@@ -78,12 +78,12 @@ class TreeHeightsApp(App):
     def flat_source(self) -> str:
         return FLAT_SRC
 
-    def host_run(self, device, program, dataset, variant):
+    def host_run(self, device, program, dataset, run):
         t = dataset
         n = t.num_nodes
         child_ptr, child_idx, _ = upload_tree(device, t)
         height = device.from_numpy("height", np.array([1], dtype=np.int32))
-        if variant == FLAT:
+        if run.variant == FLAT:
             d0 = np.zeros(n, dtype=np.int32)
             d0[0] = 1
             depths = device.from_numpy("depths", d0)

@@ -1,12 +1,12 @@
 """Pluggable execution backends.
 
 The simulator used to be the only target of the toolchain; this package
-turns "where does a program run (or lower to)" into a registry axis,
+names the places a program can run (or lower to) in a registry,
 mirroring :mod:`repro.compiler.strategies`. Built-ins:
 
 ``sim``
     the SIMT functional simulator with the timing model (the default —
-    omitting ``--backend`` everywhere means exactly this);
+    ``App.run(..., backend=None)`` means exactly this);
 ``cpu``
     an independent NumPy-backed interpreter that executes programs for
     differential testing against the sim (``tests/test_backends.py``);
@@ -14,9 +14,10 @@ mirroring :mod:`repro.compiler.strategies`. Built-ins:
     a CUDA-C emitter producing compilable ``.cu`` files (golden-file
     tested; ``repro compile <app> <variant> --backend cuda``).
 
-Registering a backend makes it reachable end-to-end — ``App.run``, the
-experiment runner's cache key, and the CLI — without touching any of
-them::
+Registering a backend makes it reachable from ``App.run(...,
+backend=get_backend("mine"))`` and the CLI's ``--backend`` without
+touching either. Where a run executes is never part of its identity, so
+no backend reaches a cache key::
 
     from repro.backends import Backend, register_backend
 
@@ -61,8 +62,7 @@ __all__ = [
     "DEFAULT_BACKEND",
 ]
 
-#: the backend every run uses when none is named; omitting ``--backend``
-#: and naming this one produce identical cache keys (see store.run_key)
+#: the backend every run uses when none is named
 DEFAULT_BACKEND = "sim"
 
 

@@ -13,8 +13,8 @@ A backend declares two capabilities:
     It can build a *device* — an object with the :class:`repro.sim.device.Device`
     facade (``load`` / ``from_numpy`` / ``alloc`` / ``launch`` /
     ``synchronize`` / ``to_numpy``) — so every app host driver runs on it
-    unchanged. Executing backends plug into ``RunSpec(backend=...)``
-    and the CLI's ``--backend`` axis.
+    unchanged. Executing backends plug into ``App.run(..., backend=)``;
+    where a run executes is never part of its identity.
 
 ``emits``
     It can lower a program to target source text (``emit``), e.g. a
@@ -49,18 +49,12 @@ class Backend(abc.ABC):
     def make_device(self, spec: DeviceSpec = K20C,
                     cost: CostModel = DEFAULT_COST_MODEL,
                     allocator: str = "custom",
-                    heap_bytes: Optional[int] = None,
-                    engine: Optional[str] = None):
+                    heap_bytes: Optional[int] = None):
         """Build a fresh device with the Device facade.
 
         ``cost`` and ``allocator`` configure the timing/allocation models
         where the backend has them (the simulator); purely functional
         backends accept and ignore them so RunSpecs stay portable.
-        ``engine`` selects a functional-engine implementation where the
-        backend offers several (:data:`repro.sim.device.ENGINES`, chosen
-        by the run's exact oracle); backends with a single execution
-        strategy must reject a non-None engine rather than silently run
-        something else.
         """
         raise BackendError(
             f"backend {self.name!r} does not execute programs"

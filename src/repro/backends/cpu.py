@@ -61,7 +61,7 @@ from ..sim.events import (
 from ..sim.profiler import RunMetrics
 from ..sim.specs import CostModel, DEFAULT_COST_MODEL, DeviceSpec, K20C
 
-from .base import Backend, BackendError
+from .base import Backend
 
 # thread states (same lattice as the engine)
 _RUNNING = 0
@@ -1079,8 +1079,8 @@ class CpuDevice:
         depth = parent.depth + 1
         if depth > self.spec.max_nesting_depth:
             raise LaunchError(
-                f"dynamic-parallelism nesting depth {depth} exceeds the "
-                f"device limit of {self.spec.max_nesting_depth}")
+                f"kernel {name}: dynamic-parallelism nesting depth {depth} "
+                f"exceeds the device limit of {self.spec.max_nesting_depth}")
         self._validate_config(name, grid, block)
         self.device_launches += 1
         return self._new_instance(name, int(grid), int(block), args,
@@ -1321,12 +1321,6 @@ class CpuBackend(Backend):
     def make_device(self, spec: DeviceSpec = K20C,
                     cost: CostModel = DEFAULT_COST_MODEL,
                     allocator: str = "custom",
-                    heap_bytes: Optional[int] = None,
-                    engine: Optional[str] = None) -> CpuDevice:
-        if engine is not None:
-            raise BackendError(
-                "the cpu backend has a single execution strategy; "
-                f"engine {engine!r} (oracle selection) only applies to "
-                "the simulator backend")
+                    heap_bytes: Optional[int] = None) -> CpuDevice:
         return CpuDevice(spec=spec, cost=cost, allocator=allocator,
                          heap_bytes=heap_bytes)

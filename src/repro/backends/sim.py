@@ -1,8 +1,9 @@
 """Simulator backend: the default execution target.
 
 A thin adapter that gives :class:`repro.sim.device.Device` a seat in the
-backend registry, so ``--backend sim`` (or omitting the flag entirely)
-means exactly what every run before the registry existed meant.
+backend registry. The registered singleton runs the default engine;
+``SimBackend(engine="scalar")`` runs the scalar reference engine, which
+differential checks compare the default against.
 """
 
 from __future__ import annotations
@@ -23,14 +24,17 @@ class SimBackend(Backend):
     executes = True
     emits = False
 
+    def __init__(self, engine: Optional[str] = None):
+        #: functional engine of every device this backend builds
+        #: (:data:`repro.sim.device.ENGINES`; None: the device default)
+        self.engine = engine
+
     def make_device(self, spec: DeviceSpec = K20C,
                     cost: CostModel = DEFAULT_COST_MODEL,
                     allocator: str = "custom",
-                    heap_bytes: Optional[int] = None,
-                    engine: Optional[str] = None) -> Device:
+                    heap_bytes: Optional[int] = None) -> Device:
         kwargs = {}
         if heap_bytes is not None:
             kwargs["heap_bytes"] = heap_bytes
-        if engine is not None:
-            kwargs["engine"] = engine
-        return Device(spec=spec, cost=cost, allocator=allocator, **kwargs)
+        return Device(spec=spec, cost=cost, allocator=allocator,
+                      engine=self.engine, **kwargs)

@@ -113,6 +113,37 @@ def _make_client(args):
     return ServiceClient(socket_path=path).connect()
 
 
+#: deprecated ``repro run --oracle`` values -> the simulator engine each
+#: runs (the scalar engine is a differential reference, not an oracle)
+_RUN_ORACLE_ENGINES = {"sim": None, "sim-scalar": "scalar"}
+
+
+def _deprecated_run_backend(args):
+    """The backend ``repro run --backend/--oracle`` names, or None.
+
+    Both flags are deprecated (repro.errors.DeprecationPolicy): where a
+    run executes is not part of its identity, so such a run bypasses
+    the result store. Each prints a notice on stderr.
+    """
+    if args.backend is None and args.oracle is None:
+        return None
+    from .backends import DEFAULT_BACKEND, SimBackend, get_backend
+    from .errors import DeprecationPolicy
+
+    for flag in ("backend", "oracle"):
+        if getattr(args, flag) is not None:
+            print(f"warning: `repro run --{flag}` is deprecated; this run "
+                  "is not cached (pass backend= to App.run instead; "
+                  f"{DeprecationPolicy})", file=sys.stderr)
+    backend = get_backend(args.backend or DEFAULT_BACKEND)
+    if args.oracle is not None:
+        if backend.name != DEFAULT_BACKEND:
+            raise ValueError(f"--oracle selects a simulator engine; the "
+                             f"{backend.name} backend has only one")
+        backend = SimBackend(engine=_RUN_ORACLE_ENGINES[args.oracle])
+    return backend
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -164,16 +195,13 @@ def main(argv=None) -> int:
 
     p.add_argument("--backend", default=None,
                    choices=list(available_backends()),
-                   help="execution backend (default: sim, the simulator; "
-                        "'cpu' cross-checks on the NumPy interpreter)")
-    from .oracle import available_oracles, get_oracle
-
+                   help="deprecated: run once, uncached, on this backend "
+                        "('cpu' cross-checks on the NumPy interpreter)")
     p.add_argument("--oracle", default=None,
-                   choices=[n for n in available_oracles()
-                            if get_oracle(n).exact],
-                   help="exact oracle deciding the sim engine (default: "
-                        "sim, the vectorized engine; 'sim-scalar' runs "
-                        "the scalar reference engine)")
+                   choices=list(_RUN_ORACLE_ENGINES),
+                   help="deprecated: run once, uncached, on this "
+                        "simulator engine ('sim-scalar' is the scalar "
+                        "reference engine)")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="also record a span trace of this run and write "
                         "it as Chrome trace-event JSON to PATH")
@@ -289,6 +317,8 @@ def main(argv=None) -> int:
                         "of local runners")
     p.add_argument("--tcp", default=None, metavar="HOST:PORT",
                    help="like --socket, over TCP")
+    from .oracle import available_oracles
+
     p.add_argument("--oracle", default=None,
                    choices=list(available_oracles()),
                    help="candidate-scoring oracle (default: sim, the "
@@ -402,13 +432,13 @@ def main(argv=None) -> int:
         from .backends import available_backends as _backends
         from .backends import get_backend as _get_backend
 
-        print("backends (repro run/compile --backend):")
+        print("backends (repro compile --backend):")
         for name in _backends():
             print(f"  {name:10s} {_get_backend(name).summary}")
         from .oracle import available_oracles as _oracles
         from .oracle import get_oracle as _get_oracle
 
-        print("oracles (repro run/tune --oracle):")
+        print("oracles (repro tune --oracle):")
         for name in _oracles():
             print(f"  {name:10s} {_get_oracle(name).summary}")
         from .workloads import available_workloads, get_workload
@@ -527,13 +557,13 @@ def main(argv=None) -> int:
             tuned=registry, tuned_objective=args.objective)
         spec = RunSpec(app=args.app, variant=args.variant,
                        allocator=args.allocator, threshold=args.threshold,
-                       strategy=args.strategy, workload=args.workload,
-                       backend=args.backend, oracle=args.oracle)
+                       strategy=args.strategy, workload=args.workload)
         from contextlib import ExitStack
 
         tracer = None
         t0 = time.time()
         try:
+            backend = _deprecated_run_backend(args)
             if args.variant == "tuned":
                 # the same selection _resolve_tuned uses, so the
                 # provenance line always describes the config that runs
@@ -550,7 +580,16 @@ def main(argv=None) -> int:
                     tracer = stack.enter_context(tracing(Tracer()))
                     stack.enter_context(span("repro.run", app=args.app,
                                              variant=args.variant))
-                run = runner.run_spec(spec)
+                if backend is None:
+                    run = runner.run_spec(spec)
+                else:
+                    # uncached, so a cycles=0 CPU result never lands in
+                    # a shared store
+                    resolved = runner.resolve(spec)
+                    run = app.run(resolved,
+                                  runner.dataset(args.app, resolved.workload),
+                                  spec=runner.spec, verify=runner.verify,
+                                  backend=backend)
         except ValueError as exc:  # e.g. variant/strategy contradiction
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -562,16 +601,16 @@ def main(argv=None) -> int:
         wall = time.time() - t0
         label = run.variant if run.strategy is None else \
             f"{run.variant}:{run.strategy}"
-        if run.backend is not None:
-            label += f"@{run.backend}"
-        if getattr(run, "oracle", None) is not None:
-            label += f"+{run.oracle}"
+        if args.backend not in (None, "sim"):
+            label += f"@{args.backend}"
+        if args.oracle not in (None, "sim"):
+            label += f"+{args.oracle}"
         print(f"{app.label} [{label}] on {run.dataset} "
               f"(verified={run.checked}, wall={wall:.1f}s)")
         if run.report is not None:
             print(f"  {run.report.describe()}")
         print(run.metrics.summary())
-        if store is not None:
+        if store is not None and backend is None:
             from .experiments.reporting import run_provenance
 
             print(run_provenance(runner.stats))

@@ -19,10 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional
 
-from .. import run_config as shims
 from ..apps import canonicalize_variant, get_app
-from ..backends import DEFAULT_BACKEND, get_backend
-from ..oracle import DEFAULT_ORACLE, get_oracle
 from ..sim.occupancy import LaunchConfig
 from ..sim.specs import CostModel, DeviceSpec
 from ..workloads.spec import canonical_for_app
@@ -49,10 +46,9 @@ class RunSpec:
     (:meth:`ExperimentRunner.register_dataset`, e.g. Fig. 6's tree
     datasets) — at most one of the two may be set.
 
-    ``backend`` names a registered execution backend
-    (:mod:`repro.backends`) and ``oracle`` a registered *exact* oracle
-    (:mod:`repro.oracle`) deciding which functional engine answers the
-    run; ``None`` means the default simulator on the default engine.
+    Only what changes a run's answer is a field. *Where* it executes is
+    an argument of ``App.run`` (``backend=``), never part of its
+    identity or its cache key.
     """
 
     app: str
@@ -64,11 +60,8 @@ class RunSpec:
     threshold: Optional[int] = None
     strategy: Optional[str] = None
     workload: Optional[str] = None
-    backend: Optional[str] = None
-    oracle: Optional[str] = None
 
-    #: deprecated RunConfig shim (repro.run_config), due for removal
-    from_config = classmethod(shims.spec_from_config)
+    # the from_config shim was removed per repro.errors.DeprecationPolicy
 
     def canonical(self, **fill) -> "RunSpec":
         """This spec with every axis in its one canonical spelling.
@@ -79,11 +72,10 @@ class RunSpec:
           (``('consolidated', 'warp')`` is ``('warp-level', None)``)
           and contradictions are rejected
           (:func:`~repro.apps.common.canonicalize_variant`);
-        * backend and oracle — validated against their registries (a
-          backend must execute, an oracle must be exact) and their
-          defaults fold onto ``None``;
         * config and threshold — a live :class:`LaunchConfig` folds to
-          its triple, a threshold is coerced to ``int``;
+          its triple, a threshold is coerced to ``int`` and folds onto
+          ``None`` for apps without the ``deg > threshold`` delegation
+          guard, whose code never reads it;
         * workload — the reference is canonicalized and the app's own
           default folds onto ``None``; a spec naming both a registered
           dataset and a workload is rejected.
@@ -100,6 +92,7 @@ class RunSpec:
                 "a RunSpec takes either a registered dataset name or a "
                 f"workload reference, not both (got dataset="
                 f"{self.dataset!r}, workload={self.workload!r})")
+        app = get_app(self.app)
         variant, strategy = canonicalize_variant(self.variant, self.strategy)
         config = self.config
         if config is not None and not isinstance(config, tuple):
@@ -107,11 +100,10 @@ class RunSpec:
         axes = {
             "variant": variant, "strategy": strategy, "config": config,
             "threshold": (None if self.threshold is None
+                          or not app.has_delegation_guard
                           else int(self.threshold)),
-            "backend": _fold_backend(self.backend),
-            "oracle": _fold_oracle(self.oracle),
             "workload": (None if self.workload is None else
-                         canonical_for_app(get_app(self.app), self.workload)),
+                         canonical_for_app(app, self.workload)),
         }
         for name, value in fill.items():
             if axes.get(name, getattr(self, name)) is None:
@@ -137,29 +129,6 @@ class RunSpec:
         mode, blocks, threads = self.config
         return LaunchConfig(mode=mode, blocks=blocks, threads=threads,
                             spec=spec)
-
-
-def _fold_backend(name) -> Optional[str]:
-    if name is None:
-        return None
-    backend = get_backend(name)  # raises BackendError if unknown
-    if not backend.executes:
-        raise ValueError(
-            f"backend {backend.name!r} does not execute programs; "
-            "use `repro compile --backend` for emit-only backends")
-    return None if backend.name == DEFAULT_BACKEND else backend.name
-
-
-def _fold_oracle(name) -> Optional[str]:
-    if name is None:
-        return None
-    oracle = get_oracle(name)  # raises OracleError if unknown
-    if not oracle.exact:
-        raise ValueError(
-            f"oracle {oracle.name!r} is a learned approximation and "
-            "cannot execute runs; use it as a tuning prefilter "
-            "(`repro tune --oracle surrogate`)")
-    return None if oracle.name == DEFAULT_ORACLE else oracle.name
 
 
 class WorkPlan:

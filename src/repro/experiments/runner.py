@@ -32,7 +32,6 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
-from .. import run_config as shims
 from ..apps import get_app
 from ..apps.common import CONS, TUNED, AppRun
 from ..sim.specs import CostModel, DEFAULT_COST_MODEL, DeviceSpec, K20C
@@ -129,7 +128,8 @@ class ExperimentRunner:
     #: which tuned objective the ``'tuned'`` variant resolves against
     tuned_objective: str = "cycles"
     #: surrogate training log (:class:`repro.oracle.TrainingLog`): every
-    #: executed default-backend run appends one (axes -> metrics) row.
+    #: executed run on a registry workload appends one (axes -> metrics)
+    #: row.
     #: ``None`` auto-derives the conventional log beside ``store`` when
     #: one is attached; pass ``False`` to disable logging entirely
     training_log: Optional[object] = None
@@ -263,8 +263,6 @@ class ExperimentRunner:
             version=__version__,
             strategy=resolved.strategy,
             workload=resolved.workload,
-            backend=resolved.backend,
-            oracle=resolved.oracle,
         )
 
     # -- execution ------------------------------------------------------------
@@ -277,11 +275,10 @@ class ExperimentRunner:
             with span("runner.store-put", app=resolved.app,
                       variant=resolved.variant):
                 self.store.put(self._content_key(resolved), run)
-        if (self.training_log is not None and resolved.backend is None
-                and resolved.dataset is None):
-            # surrogate training pair: only simulator runs on registry
-            # workloads are reproducible training contexts (explicitly
-            # registered datasets have no stable reference to featurize)
+        if self.training_log is not None and resolved.dataset is None:
+            # surrogate training pair: only runs on registry workloads
+            # are reproducible training contexts (explicitly registered
+            # datasets have no stable reference to featurize)
             self.training_log.record(
                 app=resolved.app, workload=resolved.workload,
                 device=self.spec.name, cost=resolved.cost,
@@ -348,8 +345,7 @@ class ExperimentRunner:
         """Execute (or recall) ``RunSpec(app_key, variant, **axes)``."""
         return self.run_spec(RunSpec(app_key, variant, **axes))
 
-    #: deprecated RunConfig shim (repro.run_config), due for removal
-    run_config = shims.runner_run_config
+    # the run_config shim was removed per repro.errors.DeprecationPolicy
 
     def prefetch(self, specs: Iterable[RunSpec],
                  jobs: Optional[int] = None,

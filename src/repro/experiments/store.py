@@ -105,9 +105,7 @@ def run_key(*, app: str, variant: str, allocator: str,
             config: Optional[tuple], dataset_fp: str,
             cost, spec, threshold: int, verify: bool,
             version: str, strategy: Optional[str] = None,
-            workload: Optional[str] = None,
-            backend: Optional[str] = None,
-            oracle: Optional[str] = None) -> str:
+            workload: Optional[str] = None) -> str:
     """Stable content address for one application run.
 
     ``strategy`` is the consolidation-strategy axis; it is ``None`` for
@@ -123,18 +121,9 @@ def run_key(*, app: str, variant: str, allocator: str,
     ``None`` case keeps every pre-PR-4 key byte-identical — which is why
     the workload axis did *not* bump ``STORE_FORMAT`` (DESIGN.md §12).
 
-    ``backend`` follows the same only-when-set rule: the runner folds
-    the default ``'sim'`` onto ``None`` before keying, so every
-    pre-backend key is byte-identical and only genuinely different
-    execution targets (e.g. ``'cpu'``) get distinct addresses
-    (DESIGN.md §14).
-
-    ``oracle`` does too: the default (vectorized) engine keys as None,
-    and only an explicitly non-default exact oracle (``'sim-scalar'``)
-    enters the payload. The engines produce bitwise-identical metrics,
-    so distinct addresses are pure provenance — they record *which
-    implementation* produced an entry — at the cost of one redundant
-    simulation per differential pairing (DESIGN.md §15).
+    Where a run executes (the CPU interpreter, the scalar engine) is
+    not an input: only the simulator's answers are stored, and its two
+    engines give bitwise-identical ones (DESIGN.md §14, §15).
     """
     payload = {
         "format": STORE_FORMAT,
@@ -152,10 +141,6 @@ def run_key(*, app: str, variant: str, allocator: str,
     }
     if workload is not None:
         payload["workload"] = workload
-    if backend is not None:
-        payload["backend"] = backend
-    if oracle is not None:
-        payload["oracle"] = oracle
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -1,21 +1,16 @@
-"""Oracle base class — how a run (or a tuning trial) gets its answer.
+"""Oracle base class — how a tuning trial gets its answer.
 
-An :class:`Oracle` names one way of producing metrics for a run
-description. **Exact** oracles are the simulator itself: they select a
-functional-engine implementation (:data:`repro.sim.device.ENGINES`) and
-their answers are bitwise-reproducible RunMetrics — any exact oracle may
-be named on a :class:`~repro.experiments.plan.RunSpec`, ``App.run``, or
-``repro run --oracle``. **Learned** oracles (``exact=False``) only
-*approximate* metrics and are therefore valid solely as tuning
-prefilters (``repro tune --oracle surrogate``): the runner refuses to
-execute them, and the tuner always confirms winners at full fidelity
-through the embedded simulation oracle.
+An :class:`Oracle` names one way of scoring the tuner's candidates. The
+simulator itself (``sim``) scores every candidate with a real run; a
+learned oracle (``surrogate``) wraps it, predicting cheap rungs and
+confirming winners at full fidelity through the embedded simulation
+oracle. Oracles are a tuner option only: a run's answer always comes
+from the simulator, so no oracle is part of a run's identity.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
 from ..errors import ReproError
 
@@ -25,38 +20,21 @@ class OracleError(ReproError):
 
 
 class Oracle(abc.ABC):
-    """One way of answering "what are this run's metrics?"."""
+    """One way of answering "what are this candidate's metrics?"."""
 
-    #: registry key (``--oracle``)
+    #: registry key (``repro tune --oracle``)
     name: str = ""
     #: one-line description for ``repro list`` and docs
     summary: str = ""
-    #: True when answers are real simulator runs (bitwise-reproducible
-    #: metrics); False for learned approximations, which the experiment
-    #: runner refuses to execute
-    exact: bool = True
-    #: functional-engine implementation exact runs select
-    #: (:data:`repro.sim.device.ENGINES`); None defers to the device
-    #: default
-    engine: Optional[str] = None
 
     def scorer(self, sim, *, training_log=None):
         """The candidate scorer the tuner should drive.
 
         ``sim`` is the tuner's :class:`~repro.tuning.oracle.SimulationOracle`
-        (already bound to app/objective/store/fidelity runners); exact
-        oracles return it unchanged, learned oracles wrap it.
+        (already bound to app/objective/store/fidelity runners); the
+        simulator returns it unchanged, learned oracles wrap it.
         """
         return sim
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-class EngineOracle(Oracle):
-    """An exact oracle: the simulator running one functional engine."""
-
-    def __init__(self, name: str, engine: str, summary: str):
-        self.name = name
-        self.engine = engine
-        self.summary = summary

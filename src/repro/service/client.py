@@ -25,7 +25,6 @@ import socket
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .. import run_config as shims
 from .protocol import (PROTOCOL_VERSION, ProtocolError, decode,
                        default_socket_path, encode, metrics_from_wire,
                        spec_to_wire, stats_from_wire)
@@ -198,8 +197,7 @@ class ServiceClient:
         return self.submit_spec(RunSpec(app=app, variant=variant, **axes),
                                 scale=scale)
 
-    #: deprecated RunConfig shim (repro.run_config), due for removal
-    submit_config = shims.submit_config
+    # the submit_config shim was removed per repro.errors.DeprecationPolicy
 
     def submit_many(self, specs: Iterable,
                     scale: Optional[float] = None) -> list[SubmitResult]:

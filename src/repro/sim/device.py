@@ -201,8 +201,8 @@ class Device:
         depth = parent.depth + 1
         if depth > self.spec.max_nesting_depth:
             raise LaunchError(
-                f"dynamic-parallelism nesting depth {depth} exceeds the "
-                f"device limit of {self.spec.max_nesting_depth}"
+                f"kernel {name}: dynamic-parallelism nesting depth {depth} "
+                f"exceeds the device limit of {self.spec.max_nesting_depth}"
             )
         self._validate_config(name, grid, block)
         self.dp.stats.device_launches += 1

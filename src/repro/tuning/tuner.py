@@ -132,8 +132,7 @@ class Tuner:
     #: the daemon's coalescing, batching, and result store
     service: object = None
     #: which registered oracle (:mod:`repro.oracle`) scores candidates:
-    #: None/'sim' = the simulator (vectorized engine), 'sim-scalar' =
-    #: the scalar reference engine, 'surrogate' = the learned
+    #: None/'sim' = the simulator, 'surrogate' = the learned
     #: multi-fidelity prefilter (cheap rungs predicted, final rung
     #: always simulated)
     oracle: Optional[str] = None
@@ -153,18 +152,17 @@ class Tuner:
     def _oracle(self, app: str, objective: Objective, workload=None):
         """Build the candidate scorer: a simulation oracle, threaded
         through the named oracle's :meth:`~repro.oracle.Oracle.scorer`
-        (identity for exact oracles, surrogate wrapper for learned)."""
-        from ..oracle import get_oracle
+        (identity for the simulator, a wrapper for learned oracles)."""
+        from ..oracle import DEFAULT_ORACLE, get_oracle
 
         named = get_oracle(self.oracle if self.oracle is not None
-                           else "sim")
+                           else DEFAULT_ORACLE)
         log = self._training_log()
         sim = SimulationOracle(
             app, objective, scale=self.scale, spec=self.spec, cost=self.cost,
             store=self.store, jobs=self.jobs, verify=self.verify,
             workload=workload, dataset_cache=self.dataset_cache,
-            client=self.service, training_log=log,
-            oracle=named.name if named.exact else None)
+            client=self.service, training_log=log)
         return named.scorer(sim, training_log=log)
 
     def _canonical_workload(self, app: str, workload):

@@ -135,3 +135,31 @@ class TestAppDetails:
         app = get_app("td")
         run = app.run(RunSpec(app.key, BASIC), dataset=datasets["td"])
         assert run.metrics.device_launches == datasets["td"].num_nodes - 1
+
+    def test_nesting_limit_error_names_app_variant_and_kernel(self):
+        """BFS-Rec recurses once per level, so a 25-level chain exceeds
+        the 24-level DP nesting limit: the typed error names the app,
+        the variant and the kernel that launched too deep."""
+        from repro.errors import LaunchError
+        from repro.workloads import materialize
+
+        with pytest.raises(LaunchError) as info:
+            get_app("bfs_rec").run(RunSpec("bfs_rec", BASIC),
+                                   materialize("chain", 0.05))
+        message = str(info.value)
+        assert message.startswith("BFS-Rec [basic-dp]: kernel bfs_rec: ")
+        assert "nesting depth 25 exceeds the device limit of 24" in message
+
+    def test_errors_keep_type_and_text_under_the_prefix(self):
+        """App.run prefixes a failing run's ReproError with the app and
+        variant, keeping its type and original text."""
+        from repro.errors import ParseError
+
+        class Broken(type(get_app("spmv"))):
+            def flat_source(self):
+                return "__global__ void k( {"
+
+        with pytest.raises(ParseError) as info:
+            Broken().run(RunSpec("spmv", FLAT), scale=0.05)
+        assert str(info.value).startswith("SpMV [no-dp]: ")
+        assert str(info.value).endswith(info.value.message)

@@ -11,16 +11,14 @@ bitwise; any divergence is an interpreter/codegen semantics bug, not
 noise.
 
 Alongside the harness: registry contract tests, CpuDevice/CpuJob unit
-tests, the run-key backward-compatibility regression (an omitted backend
-must leave every pre-existing cache address byte-identical), and the
-runner's sim-folds-to-None canonicalization.
+tests, the run-key backward-compatibility regression (no backend ever
+enters a cache address), and ``App.run(..., backend=)`` — the one way
+to run on another backend, which never touches a result store.
 """
 
 import dataclasses
 import hashlib
 import json
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,8 +40,7 @@ from repro.backends import (
 )
 from repro.errors import LaunchError, SimulationError
 from repro.experiments.plan import RunSpec
-from repro.experiments.runner import ExperimentRunner
-from repro.experiments.store import STORE_FORMAT, ResultStore, run_key
+from repro.experiments.store import STORE_FORMAT, run_key
 from repro.sim.device import Device
 from repro.sim.specs import DEFAULT_COST_MODEL, K20C
 
@@ -221,9 +218,9 @@ def test_cpu_backend_matches_sim(key, variant, datasets):
     interpreter replays the sim's exact schedule)."""
     app = get_app(key)
     sim = app.run(RunSpec(key, variant), dataset=datasets[key], verify=False)
-    cpu = app.run(RunSpec(key, variant, backend="cpu"),
-                  dataset=datasets[key], verify=False)
-    assert cpu.backend == "cpu" and sim.backend is None
+    cpu = app.run(RunSpec(key, variant), dataset=datasets[key], verify=False,
+                  backend=get_backend("cpu"))
+    assert cpu.metrics.cycles == 0 and sim.metrics.cycles > 0
     np.testing.assert_array_equal(
         cpu.result, sim.result,
         err_msg=f"cpu backend diverged from sim on {key} [{variant}]")
@@ -325,57 +322,61 @@ class TestRunKeyCompat:
 
     def test_omitted_backend_is_byte_identical_to_legacy(self):
         assert run_key(**self.KWARGS) == self._legacy_key()
-        assert run_key(**self.KWARGS, backend=None) == self._legacy_key()
+        with pytest.raises(TypeError, match="backend"):
+            run_key(**self.KWARGS, backend=None)
 
     def test_workload_and_backend_only_enter_when_set(self):
+        """The workload enters the payload only when set; a backend
+        cannot be set at all."""
         assert (run_key(**self.KWARGS, workload="kron(seed=9)")
                 == self._legacy_key(workload="kron(seed=9)"))
-        assert (run_key(**self.KWARGS, backend="cpu")
-                == self._legacy_key(backend="cpu"))
-
-    def test_backend_forks_the_address(self):
-        base = run_key(**self.KWARGS)
-        assert run_key(**self.KWARGS, backend="cpu") != base
+        with pytest.raises(TypeError, match="backend"):
+            run_key(**self.KWARGS, backend="cpu")
 
     def test_runspec_default_backend_is_none(self):
-        assert RunSpec(app="sssp", variant="basic-dp").backend is None
+        """A RunSpec names no backend: ``App.run`` defaults to None, the
+        simulator."""
+        import inspect
+
+        from repro.apps.common import App
+
+        assert not hasattr(RunSpec(app="sssp", variant="basic-dp"),
+                           "backend")
+        assert inspect.signature(App.run).parameters["backend"].default \
+            is None
 
 
-# -- runner integration -------------------------------------------------------
+# -- App.run(backend=) --------------------------------------------------------
 
 
 class TestRunnerBackendAxis:
-    def _runner(self, tmp):
-        return ExperimentRunner(store=ResultStore(Path(tmp)), scale=0.05)
+    """Where a run executes is an argument of ``App.run``, not an axis
+    of the experiment runner: the runner (and so every result store)
+    only ever holds simulator runs."""
 
-    def test_explicit_sim_folds_to_none(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            runner = self._runner(tmp)
-            implicit = runner.run("sssp", "basic-dp")
-            explicit = runner.run("sssp", "basic-dp", backend="sim")
-            assert implicit.backend is None and explicit.backend is None
-            # the fold makes them one cache entry, not two executions
-            assert runner.stats.executed == 1
-            assert runner.stats.memory_hits == 1
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return get_app("sssp").default_dataset(0.05)
 
-    def test_cpu_backend_gets_its_own_cache_entry(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            runner = self._runner(tmp)
-            sim = runner.run("sssp", "basic-dp")
-            cpu = runner.run("sssp", "basic-dp", backend="cpu")
-            assert runner.stats.executed == 2
-            assert cpu.backend == "cpu"
-            np.testing.assert_array_equal(cpu.result, sim.result)
+    def test_explicit_sim_folds_to_none(self, dataset):
+        app = get_app("sssp")
+        implicit = app.run(RunSpec("sssp", "basic-dp"), dataset)
+        explicit = app.run(RunSpec("sssp", "basic-dp"), dataset,
+                           backend=get_backend("sim"))
+        assert (dataclasses.asdict(explicit.metrics)
+                == dataclasses.asdict(implicit.metrics))
+        np.testing.assert_array_equal(explicit.result, implicit.result)
 
-    def test_emit_only_backend_rejected_up_front(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            with pytest.raises(ValueError, match="does not execute"):
-                self._runner(tmp).run("sssp", "basic-dp", backend="cuda")
+    def test_emit_only_backend_rejected_up_front(self, dataset):
+        with pytest.raises(BackendError, match="does not execute"):
+            get_app("sssp").run(RunSpec("sssp", "basic-dp"), dataset,
+                                backend=get_backend("cuda"))
 
     def test_unknown_backend_rejected(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            with pytest.raises(BackendError, match="tpu"):
-                self._runner(tmp).run("sssp", "basic-dp", backend="tpu")
+        with pytest.raises(BackendError, match="tpu"):
+            get_backend("tpu")
+        with pytest.raises(TypeError, match="backend"):
+            RunSpec("sssp", "basic-dp", backend="tpu")
 
 
 class TestCliBackend:
@@ -384,9 +385,29 @@ class TestCliBackend:
 
         assert main(["run", "spmv", "block-level", "--scale", "0.1",
                      "--backend", "cpu"]) == 0
-        out = capsys.readouterr().out
-        assert "@cpu" in out
-        assert "verified=True" in out
+        captured = capsys.readouterr()
+        assert "@cpu" in captured.out
+        assert "verified=True" in captured.out
+        assert "--backend` is deprecated" in captured.err
+
+    def test_cpu_run_writes_no_store_entry(self, capsys, tmp_path):
+        """The deprecated flag runs uncached, so a ``cycles=0`` CPU
+        result never lands in a shared store."""
+        from repro.cli import main
+        from repro.experiments import ResultStore
+
+        store = tmp_path / "cache"
+        assert main(["run", "sssp", "no-dp", "--scale", "0.05",
+                     "--backend", "cpu", "--cache-dir", str(store)]) == 0
+        assert "cycles                 : 0" in capsys.readouterr().out
+        assert len(ResultStore(store)) == 0
+
+    def test_run_with_emit_only_backend_fails_cleanly(self, capsys):
+        from repro.cli import main
+
+        assert main(["run", "sssp", "no-dp", "--scale", "0.05",
+                     "--backend", "cuda"]) == 2
+        assert "does not execute" in capsys.readouterr().err
 
     def test_list_shows_backends(self, capsys):
         from repro.cli import main

@@ -1,4 +1,4 @@
-"""Oracle registry + scalar-vs-vectorized differential harness +
+"""Tuning-oracle registry + scalar-vs-vectorized differential harness +
 surrogate unit tests.
 
 The headline property of the engine split is *bitwise*: for every
@@ -9,6 +9,10 @@ functional output. The vectorized engine batches the scalar engine's
 per-event bookkeeping into array ops without reordering any observable
 effect (DESIGN.md §15 carries the equivalence argument), so any
 divergence is an engine bug, not noise.
+
+The scalar engine is reached as ``App.run(...,
+backend=SimBackend(engine="scalar"))``: it is a differential reference,
+not a run axis or an oracle.
 
 Alongside the harness: oracle registry contract tests, Device engine
 selection, and the learned surrogate's unit behaviour (fit/predict
@@ -24,15 +28,17 @@ import pytest
 from hypothesis import example, given, settings
 
 from repro.apps import BASIC, BLOCK, GRID, WARP, all_apps, get_app
+from repro.backends import SimBackend
 from repro.errors import SimulationError
 from repro.experiments import RunSpec
 from repro.oracle import (
     BUILTIN_ORACLES,
     DEFAULT_ORACLE,
-    EngineOracle,
+    LearnedOracle,
     MIN_TRAIN_ROWS,
     Oracle,
     OracleError,
+    SimOracle,
     SurrogateModel,
     SurrogateOracle,
     TrainingLog,
@@ -70,17 +76,17 @@ SCALE = 0.08
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert available_oracles() == ("sim", "sim-scalar", "surrogate")
+        assert available_oracles() == ("sim", "surrogate")
         assert tuple(o.name for o in BUILTIN_ORACLES) == available_oracles()
         assert DEFAULT_ORACLE == "sim"
 
     def test_builtin_shapes(self):
-        sim = get_oracle("sim")
-        assert sim.exact and sim.engine == "vectorized"
-        scalar = get_oracle("sim-scalar")
-        assert scalar.exact and scalar.engine == "scalar"
-        surrogate = get_oracle("surrogate")
-        assert not surrogate.exact and surrogate.engine is None
+        """Oracles score tuner candidates only: neither built-in selects
+        a sim engine (that is ``SimBackend(engine=...)``)."""
+        assert isinstance(get_oracle("sim"), SimOracle)
+        assert isinstance(get_oracle("surrogate"), LearnedOracle)
+        for oracle in BUILTIN_ORACLES:
+            assert not hasattr(oracle, "engine")
 
     def test_get_oracle_instance_passthrough(self):
         sim = get_oracle("sim")
@@ -91,7 +97,11 @@ class TestRegistry:
             get_oracle("crystal-ball")
 
     def test_register_validates_and_replaces(self):
-        fake = EngineOracle("fake", "scalar", "test double")
+        class Fake(Oracle):
+            name = "fake"
+            summary = "test double"
+
+        fake = Fake()
         register_oracle(fake)
         try:
             assert "fake" in available_oracles()
@@ -103,10 +113,6 @@ class TestRegistry:
         assert "fake" not in available_oracles()
         with pytest.raises(KeyError):
             unregister_oracle("fake")
-
-    def test_register_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown sim engine"):
-            register_oracle(EngineOracle("bad", "quantum", "nope"))
 
     def test_register_rejects_nameless_and_non_oracle(self):
         class Nameless(Oracle):
@@ -145,9 +151,20 @@ class TestEngineSelection:
             Device(engine="quantum")
 
     def test_app_run_rejects_learned_oracle(self):
-        with pytest.raises(ValueError, match="tuning prefilter"):
-            get_app("sssp").run(RunSpec("sssp", "flat", oracle="surrogate"),
-                                scale=SCALE)
+        """An oracle is a tuner option, never a way to run: App.run and
+        RunSpec take none."""
+        with pytest.raises(TypeError, match="oracle"):
+            get_app("sssp").run(RunSpec("sssp", "no-dp"), scale=SCALE,
+                                oracle="surrogate")
+        with pytest.raises(TypeError, match="oracle"):
+            RunSpec("sssp", "no-dp", oracle="surrogate")
+
+    def test_sim_backend_selects_engine(self):
+        """The simulator backend owns the engine choice."""
+        assert SimBackend().make_device().engine_name == "vectorized"
+        scalar = SimBackend(engine="scalar").make_device()
+        assert isinstance(scalar.engine, FunctionalEngine)
+        assert not isinstance(scalar.engine, VectorizedEngine)
 
 
 # -- the differential harness -------------------------------------------------
@@ -163,11 +180,10 @@ def datasets():
 
 def _assert_engines_agree(key, variant, dataset, **axes):
     app = get_app(key)
-    vec = app.run(RunSpec(key, variant, **axes), dataset=dataset,
-                  verify=False)
-    ref = app.run(RunSpec(key, variant, oracle="sim-scalar", **axes),
-                  dataset=dataset, verify=False)
-    assert vec.oracle is None and ref.oracle == "sim-scalar"
+    spec = RunSpec(key, variant, **axes)
+    vec = app.run(spec, dataset=dataset, verify=False)
+    ref = app.run(spec, dataset=dataset, verify=False,
+                  backend=SimBackend(engine="scalar"))
     assert (dataclasses.asdict(vec.metrics)
             == dataclasses.asdict(ref.metrics)), \
         f"vectorized metrics diverged from scalar on {key} [{variant}]"
@@ -507,21 +523,11 @@ class TestTrainingLog:
 class TestTunerWiring:
     def test_tuner_builds_surrogate_oracle(self, tmp_path):
         from repro.experiments import ResultStore
-        from repro.tuning import Tuner
+        from repro.tuning import SimulationOracle, Tuner
 
         store = ResultStore(tmp_path / "store")
         tuner = Tuner(scale=SCALE, store=store, oracle="surrogate")
         oracle = tuner._oracle("sssp", get_objective("cycles"), None)
         assert isinstance(oracle, SurrogateOracle)
-        assert oracle.sim.oracle is None  # surrogate sims on the default
+        assert type(oracle.sim) is SimulationOracle  # sims on the default
         assert oracle.training_log.path.parent == store.root
-
-    def test_tuner_exact_oracle_forks_sim_engine(self, tmp_path):
-        from repro.experiments import ResultStore
-        from repro.tuning import Tuner
-
-        store = ResultStore(tmp_path / "store")
-        tuner = Tuner(scale=SCALE, store=store, oracle="sim-scalar")
-        oracle = tuner._oracle("sssp", get_objective("cycles"), None)
-        assert not isinstance(oracle, SurrogateOracle)
-        assert oracle.oracle == "sim-scalar"

@@ -9,8 +9,7 @@ Four families:
   attribution column. The rendered table for sssp/consolidated is
   pinned as a golden file (``--update-goldens`` rewrites it).
 * **never-perturb** — a spec resolved or keyed under ``profiling()``
-  is the unprofiled one (the deprecated ``RunConfig.profile`` hook stays
-  out of identity too), and a profiled run's ``RunMetrics`` are
+  is the unprofiled one, and a profiled run's ``RunMetrics`` are
   bitwise-identical to plain and traced runs.
 * **ledger** — idempotent content-keyed ingestion, direction
   heuristics, the noise floor, and the regression gate (pass fresh,
@@ -27,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps import get_app
+from repro.backends import SimBackend
 from repro.perf import profiling
 from repro.perf.ledger import (DEFAULT_NOISE_FLOOR, LEDGER_FORMAT, PerfLedger,
                                cell_direction, envelope_sha, flatten_payload)
@@ -40,12 +40,12 @@ SCALE = 0.05
 GOLDEN_DIR = Path(__file__).parent / "fixtures" / "golden_profile"
 
 
-def _profiled_run(variant="consolidated", **overrides):
+def _profiled_run(variant="consolidated", backend=None):
     app = get_app("sssp")
     dataset = app.default_dataset(SCALE)
     with profiling() as collector:
-        run = app.run(RunSpec("sssp", variant, **overrides),
-                      dataset=dataset)
+        run = app.run(RunSpec("sssp", variant), dataset=dataset,
+                      backend=backend)
     return run, build_profile(collector, label=f"sssp {variant}")
 
 
@@ -123,7 +123,8 @@ class TestAttribution:
 
         for variant in ("basic-dp", "warp-level"):
             _, vec = _profiled_run(variant)
-            _, scalar = _profiled_run(variant, oracle="sim-scalar")
+            _, scalar = _profiled_run(variant,
+                                      SimBackend(engine="scalar"))
             assert columns(vec) == columns(scalar), variant
             assert vec.rescheduled_cycles == scalar.rescheduled_cycles
             assert vec.occupancy == scalar.occupancy
@@ -178,34 +179,6 @@ class TestNonPerturbation:
         obj = profile_to_json(build_profile(collector, label="sssp"))
         assert obj["format"] == PROFILE_FORMAT
         assert obj["total_cycles"] == plain.metrics.cycles
-
-    def test_run_config_profile_hook(self, tmp_path):
-        """The deprecated ``RunConfig(profile=...)`` hook still writes the
-        profile and still leaves metrics and the store entry alone."""
-        from repro.run_config import RunConfig
-
-        app = get_app("sssp")
-        dataset = app.default_dataset(SCALE)
-        plain = app.run(RunSpec("sssp", "consolidated"), dataset=dataset)
-        with pytest.deprecated_call():
-            cfg = RunConfig(variant="consolidated",
-                            profile=str(tmp_path / "p.json"))
-            assert cfg == RunConfig(variant="consolidated")
-            assert "profile" not in cfg.axes()
-            profiled = app.run(cfg, dataset=dataset)
-        assert (_float_bits(dataclasses.asdict(profiled.metrics))
-                == _float_bits(dataclasses.asdict(plain.metrics)))
-        with open(tmp_path / "p.json", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        assert obj["format"] == PROFILE_FORMAT
-        assert obj["total_cycles"] == plain.metrics.cycles
-        runner = ExperimentRunner(scale=SCALE, verify=False,
-                                  store=ResultStore(tmp_path / "cache"))
-        runner.run_spec(RunSpec("sssp", "basic-dp"))
-        with pytest.deprecated_call():
-            runner.run_config("sssp", RunConfig(
-                variant="basic-dp", profile=str(tmp_path / "q.json")))
-        assert runner.stats.executed == 1  # a hit, not a fork
 
 
 # -- Chrome trace export -------------------------------------------------------

@@ -33,7 +33,7 @@ LOOKUPS = [
     (get_backend, BackendError,
      "unknown backend 'x'; available: sim, cpu, cuda"),
     (get_oracle, OracleError,
-     "unknown oracle 'x'; available: sim, sim-scalar, surrogate"),
+     "unknown oracle 'x'; available: sim, surrogate"),
     (get_search, KeyError,
      "unknown search algorithm 'x'; available: grid, random, halving"),
 ]

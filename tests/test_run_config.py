@@ -1,16 +1,15 @@
-"""One run type, its one canonicalizer, and the deprecated spellings.
+"""One run type, its one canonicalizer, and its entry points.
 
 Three things are under test: (1) canonicalization — ``RunSpec.canonical``
 folds every spelling of a run onto one value, and construction itself
-never validates; (2) the frozen-payload run-key regression — adding
-the ``oracle`` axis (like ``workload`` and ``backend`` before it) must
-leave every pre-existing content address byte-identical, with no
-STORE_FORMAT bump; (3) the entry points — ``App.run(RunSpec)``, the
-runner, the service wire format and the CLI's ``--oracle`` flag — and
-the deprecated shims (``RunConfig``, ``RunSpec.from_config``,
-``ExperimentRunner.run_config``, ``App.run``'s per-axis keywords), each
-of which must warn and land on the same metrics and cache entry as the
-``RunSpec`` spelling.
+never validates; (2) the frozen-payload run-key regression — the
+content address of every run is byte-identical to the payload rebuilt
+by hand, with no STORE_FORMAT bump; (3) the entry points —
+``App.run(RunSpec)``, the runner, the service wire format and the CLI's
+deprecated ``--oracle`` flag. A ``RunSpec`` holds only what changes a
+run's answer: where it executes (``backend``) and which engine answers
+it (the old ``oracle`` axis) are not fields, and the deprecated
+``RunConfig`` shims are gone.
 """
 
 import dataclasses
@@ -21,11 +20,11 @@ import pytest
 
 from repro import __version__
 from repro.apps import get_app
-from repro.oracle import OracleError
+from repro.backends import get_backend
 from repro.experiments import ExperimentRunner, ResultStore
 from repro.experiments.plan import RunSpec
 from repro.experiments.store import STORE_FORMAT, run_key
-from repro.run_config import RunConfig
+from repro.service.client import ServiceClient
 from repro.sim.occupancy import LaunchConfig
 from repro.sim.specs import DEFAULT_COST_MODEL, K20C
 
@@ -34,10 +33,6 @@ SCALE = 0.08
 
 def canon(variant="basic-dp", app="sssp", **axes):
     return RunSpec(app, variant, **axes).canonical()
-
-
-def metrics(run):
-    return dataclasses.asdict(run.metrics)
 
 
 # -- canonicalization ---------------------------------------------------------
@@ -50,16 +45,23 @@ class TestCanonicalization:
         assert (hash(canon("consolidated", strategy="grid"))
                 == hash(RunSpec("sssp", "grid-level")))
 
-    def test_default_oracle_and_backend_fold_to_none(self):
-        assert canon(oracle="sim") == RunSpec("sssp", "basic-dp")
-        assert canon(oracle="sim").oracle is None
-        assert canon(backend="sim") == RunSpec("sssp", "basic-dp")
-        assert canon(backend="sim").backend is None
+    def test_backend_and_oracle_are_not_run_axes(self):
+        """Where a run executes and which engine answers it never
+        change its answer, so neither is a field: the old spellings fail
+        loudly instead of keying a second cache entry."""
+        names = [f.name for f in dataclasses.fields(RunSpec)]
+        assert names == ["app", "variant", "allocator", "config", "dataset",
+                         "cost", "threshold", "strategy", "workload"]
+        for axis in ("backend", "oracle"):
+            with pytest.raises(TypeError, match=axis):
+                RunSpec("sssp", "basic-dp", **{axis: "sim"})
 
     def test_non_default_axes_survive(self):
-        spec = canon("flat", oracle="sim-scalar", backend="cpu")
-        assert spec.oracle == "sim-scalar" and spec.backend == "cpu"
-        assert spec != RunSpec("sssp", "flat")
+        spec = canon("warp-level", allocator="halloc", threshold=16,
+                     workload="kron", config=("explicit", 4, 128))
+        assert (spec.allocator, spec.threshold, spec.workload,
+                spec.config) == ("halloc", 16, "kron", ("explicit", 4, 128))
+        assert spec != RunSpec("sssp", "warp-level")
 
     def test_live_launch_config_folds_to_triple(self):
         spec = canon("warp-level", config=LaunchConfig(
@@ -73,6 +75,28 @@ class TestCanonicalization:
         eight = canon("warp-level", threshold=8.0).threshold
         assert eight == 8 and type(eight) is int
 
+    @pytest.mark.parametrize("app", ["td", "th", "bfs_rec"])
+    def test_guardless_threshold_folds_to_the_app_default(self, app):
+        """TD, TH and BFS-Rec have no ``deg > threshold`` guard, so a
+        threshold cannot change their answer: every spelling resolves
+        (and keys) as the app default instead of simulating again."""
+        assert canon("warp-level", app=app, threshold=16).threshold is None
+        runner = ExperimentRunner(scale=SCALE)
+        default = runner.resolve(RunSpec(app, "warp-level"))
+        pinned = runner.resolve(RunSpec(app, "warp-level", threshold=16))
+        assert pinned == default
+        assert runner._content_key(pinned) == runner._content_key(default)
+
+    @pytest.mark.parametrize("app", ["bfs_rec", "gc", "pagerank", "spmv",
+                                     "sssp", "td", "th"])
+    def test_only_guarded_templates_take_a_threshold(self, app):
+        """The fold's premise: an app's kernels take a threshold exactly
+        when its template has the delegation guard."""
+        app = get_app(app)
+        assert (("threshold" in app.annotated_source())
+                == app.has_delegation_guard)
+        assert "threshold" not in app.flat_source()
+
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             RunSpec("sssp", "basic-dp").variant = "flat"
@@ -83,20 +107,23 @@ class TestCanonicalization:
             spec.canonical()
 
     def test_learned_oracle_rejected(self):
-        with pytest.raises(ValueError, match="tuning prefilter"):
-            canon(oracle="surrogate")
+        """The surrogate only approximates metrics; with no oracle field
+        there is no way to ask a run for it."""
+        with pytest.raises(TypeError, match="oracle"):
+            RunSpec("sssp", "basic-dp", oracle="surrogate")
 
     def test_unknown_oracle_rejected(self):
-        with pytest.raises(OracleError, match="sim-scalar"):
-            canon(oracle="delphi")
+        with pytest.raises(TypeError, match="oracle"):
+            RunSpec("sssp", "basic-dp", oracle="delphi")
 
     def test_emit_only_backend_rejected(self):
-        with pytest.raises(ValueError, match="does not execute"):
-            canon(backend="cuda")
+        with pytest.raises(RuntimeError, match="does not execute"):
+            get_app("sssp").run(RunSpec("sssp", "no-dp"), scale=SCALE,
+                                backend=get_backend("cuda"))
 
     def test_canonical_is_idempotent_without_copying(self):
-        spec = canon("consolidated", strategy="block", backend="sim",
-                     threshold=8.0, workload="star(seed=5)")
+        spec = canon("consolidated", strategy="block", threshold=8.0,
+                     workload="star(seed=5)")
         assert spec.canonical() is spec
         assert spec.workload == "star"
 
@@ -105,38 +132,14 @@ class TestCanonicalization:
         filled = spec.canonical(cost=DEFAULT_COST_MODEL, threshold=8)
         assert filled.threshold == 4 and filled.cost == DEFAULT_COST_MODEL
 
-    def test_describe_and_axes(self):
-        with pytest.deprecated_call():
-            cfg = RunConfig(variant="consolidated", strategy="warp",
-                            threshold=16, oracle="sim-scalar")
-        text = cfg.describe()
-        assert "warp-level" in text and "threshold=16" in text
-        assert "oracle=sim-scalar" in text
-        assert cfg.axes() == {
-            "variant": "warp-level", "strategy": None, "threshold": 16,
-            "workload": None, "backend": None, "oracle": "sim-scalar",
-            "allocator": "custom", "config": None,
-        }
-
-    def test_run_config_reuses_the_canonicalizer(self):
-        with pytest.deprecated_call():
-            assert (RunConfig(variant="consolidated", strategy="warp")
-                    == RunConfig(variant="warp-level"))
-            assert RunConfig(oracle="sim", backend="sim") == RunConfig()
-            assert RunConfig(threshold="32").threshold == 32
-            with pytest.raises(ValueError, match="contradicts"):
-                RunConfig(variant="warp-level", strategy="grid")
-
-    def test_from_config_maps_every_axis(self):
-        with pytest.deprecated_call():
-            cfg = RunConfig(variant="warp-level", threshold=16,
-                            workload="kron(seed=9)", oracle="sim-scalar",
-                            config=("explicit", 4, 128))
-            spec = RunSpec.from_config("sssp", cfg)
-        assert spec == RunSpec(
-            app="sssp", variant="warp-level", threshold=16,
-            workload="kron(seed=9)", oracle="sim-scalar",
-            config=("explicit", 4, 128))
+    def test_run_config_shims_retired(self):
+        """The deprecated ``RunConfig`` spellings are gone (two-PR
+        cadence, repro.errors.DeprecationPolicy)."""
+        with pytest.raises(ImportError):
+            import repro.run_config  # noqa: F401
+        assert not hasattr(RunSpec, "from_config")
+        assert not hasattr(ExperimentRunner, "run_config")
+        assert not hasattr(ServiceClient, "submit_config")
 
 
 # -- run-key backward compatibility -------------------------------------------
@@ -145,9 +148,8 @@ class TestCanonicalization:
 class TestRunKeyCompat:
     """The frozen-payload regression: the content address exactly as
     computed before the oracle axis existed, rebuilt by hand field for
-    field. The oracle (like workload and backend) enters the payload
-    only when set, so STORE_FORMAT stays put and every pre-existing
-    store entry keeps its address."""
+    field. No oracle or backend ever enters the payload, so STORE_FORMAT
+    stays put and every pre-existing store entry keeps its address."""
 
     KWARGS = dict(
         app="sssp", variant="grid-level", allocator="custom",
@@ -179,128 +181,125 @@ class TestRunKeyCompat:
 
     def test_omitted_oracle_is_byte_identical_to_legacy(self):
         assert run_key(**self.KWARGS) == self._legacy_key()
-        assert run_key(**self.KWARGS, oracle=None) == self._legacy_key()
-
-    def test_oracle_only_enters_when_set(self):
-        assert (run_key(**self.KWARGS, oracle="sim-scalar")
-                == self._legacy_key(oracle="sim-scalar"))
-        assert (run_key(**self.KWARGS, oracle="sim-scalar")
-                != run_key(**self.KWARGS))
+        with pytest.raises(TypeError, match="oracle"):
+            run_key(**self.KWARGS, oracle=None)
 
 
 # -- entry points -------------------------------------------------------------
 
 
 class TestAppRunEntry:
-    def test_run_config_matches_legacy_kwargs(self):
-        """Both deprecated App.run spellings warn and run exactly what
-        the RunSpec spelling runs."""
-        app = get_app("sssp")
-        ds = app.default_dataset(SCALE)
-        spec = app.run(RunSpec("sssp", "consolidated", strategy="warp",
-                               threshold=16), dataset=ds, verify=False)
-        with pytest.deprecated_call():
-            legacy = app.run("consolidated", strategy="warp", threshold=16,
-                             dataset=ds, verify=False)
-        with pytest.deprecated_call():
-            unified = app.run(RunConfig(variant="consolidated",
-                                        strategy="warp", threshold=16),
-                              dataset=ds, verify=False)
-        assert metrics(legacy) == metrics(spec) == metrics(unified)
-        assert spec.variant == legacy.variant == unified.variant == \
-            "warp-level"
-
     def test_clashing_keywords_rejected(self):
+        """A RunSpec carries every axis; ``App.run`` takes no per-axis
+        keywords beside it."""
         app = get_app("sssp")
-        with pytest.deprecated_call(), \
-                pytest.raises(ValueError, match="threshold"):
-            app.run(RunConfig(variant="warp-level"), threshold=8,
-                    scale=SCALE)
-        with pytest.deprecated_call(), \
-                pytest.raises(ValueError, match="allocator"):
-            app.run(RunConfig(variant="warp-level"), allocator="halloc",
-                    scale=SCALE)
-        with pytest.raises(ValueError, match="threshold"):
+        with pytest.raises(TypeError, match="threshold"):
             app.run(RunSpec("sssp", "warp-level"), threshold=8, scale=SCALE)
+        with pytest.raises(TypeError, match="allocator"):
+            app.run(RunSpec("sssp", "warp-level"), allocator="halloc",
+                    scale=SCALE)
 
     def test_spec_for_another_app_rejected(self):
         with pytest.raises(ValueError, match="spmv"):
             get_app("sssp").run(RunSpec("spmv", "no-dp"), scale=SCALE)
 
+    def test_host_run_gets_the_canonical_spec(self, monkeypatch):
+        """The fourth argument of ``host_run`` is the canonical spec,
+        with the app's default threshold filled in; the app singleton
+        itself is never mutated."""
+        app = get_app("sssp")
+        seen = []
+        original = app.host_run
+
+        def spy(device, program, dataset, run):
+            seen.append(run)
+            return original(device, program, dataset, run)
+
+        monkeypatch.setattr(app, "host_run", spy)
+        ds = app.default_dataset(SCALE)
+        app.run(RunSpec("sssp", "consolidated", strategy="warp"), ds,
+                verify=False)
+        app.run(RunSpec("sssp", "warp-level", threshold=16), ds,
+                verify=False)
+        assert seen == [RunSpec("sssp", "warp-level", threshold=8),
+                        RunSpec("sssp", "warp-level", threshold=16)]
+        assert app.threshold == 8
+
 
 class TestRunnerEntry:
-    def test_run_config_shares_cache_with_legacy(self, tmp_path):
-        runner = ExperimentRunner(scale=SCALE,
-                                  store=ResultStore(tmp_path / "store"))
-        legacy = runner.run("sssp", "warp-level", threshold=16)
-        with pytest.deprecated_call():
-            unified = runner.run_config(
-                "sssp", RunConfig(variant="consolidated", strategy="warp",
-                                  threshold=16))
-        assert unified is legacy  # one cache entry, not two
-        assert runner.run_spec(RunSpec("sssp", "consolidated",
-                                       strategy="warp",
-                                       threshold=16)) is legacy
-        assert runner.stats.executed == 1
+    def test_explicit_sim_oracle_folds_onto_default(self):
+        """``repro tune --oracle sim`` names the default scorer: the
+        simulation oracle itself, exactly what no ``--oracle`` builds."""
+        from repro.tuning import SimulationOracle, Tuner, get_objective
 
-    def test_oracle_forks_key_but_not_metrics(self, tmp_path):
-        runner = ExperimentRunner(scale=SCALE,
-                                  store=ResultStore(tmp_path / "store"))
-        vec = runner.run_spec(RunSpec("sssp", "warp-level"))
-        ref = runner.run_spec(RunSpec("sssp", "warp-level",
-                                      oracle="sim-scalar"))
-        assert ref is not vec  # distinct cache entries (provenance fork)
-        assert metrics(ref) == metrics(vec)
-
-    def test_explicit_sim_oracle_folds_onto_default(self, tmp_path):
-        runner = ExperimentRunner(scale=SCALE,
-                                  store=ResultStore(tmp_path / "store"))
-        a = runner.run("sssp", "warp-level")
-        b = runner.run("sssp", "warp-level", oracle="sim")
-        assert b is a
+        cycles = get_objective("cycles")
+        explicit = Tuner(scale=SCALE, oracle="sim")._oracle("sssp", cycles)
+        implicit = Tuner(scale=SCALE)._oracle("sssp", cycles)
+        assert type(explicit) is type(implicit) is SimulationOracle
 
 
 class TestWireFormat:
-    def test_oracle_only_on_wire_when_set(self):
-        from repro.service.protocol import spec_from_wire, spec_to_wire
-
-        bare = spec_to_wire(RunSpec(app="sssp", variant="flat"))
-        assert "oracle" not in bare
-        spec = RunSpec("sssp", "warp-level", oracle="sim-scalar")
-        wire = spec_to_wire(spec)
-        assert wire["oracle"] == "sim-scalar"
-        assert spec_from_wire(wire) == spec
-
     def test_wire_rejects_non_string_oracle(self):
+        """Neither the oracle nor the backend is a RunSpec field, so a
+        submit carrying either — string or not — is an unknown field,
+        never silently run on the default."""
         from repro.service.protocol import ProtocolError, spec_from_wire
 
-        with pytest.raises(ProtocolError):
-            spec_from_wire({"app": "sssp", "variant": "flat", "oracle": 3})
+        for value in (3, "sim-scalar"):
+            with pytest.raises(ProtocolError, match="unknown.*oracle"):
+                spec_from_wire({"app": "sssp", "variant": "flat",
+                                "oracle": value})
         with pytest.raises(ProtocolError, match="backend"):
             spec_from_wire({"app": "sssp", "variant": "flat", "backend": 3})
 
 
 class TestCliOracle:
-    def test_run_with_oracle(self, capsys):
+    def test_run_with_oracle(self, capsys, tmp_path):
+        """Deprecated: the run executes on the scalar engine, warns on
+        stderr, keeps its label and writes nothing to the store."""
         from repro.cli import main
 
+        store = tmp_path / "cache"
         assert main(["run", "spmv", "grid-level", "--scale", "0.15",
-                     "--oracle", "sim-scalar"]) == 0
-        out = capsys.readouterr().out
-        assert "+sim-scalar" in out and "verified=True" in out
+                     "--oracle", "sim-scalar",
+                     "--cache-dir", str(store)]) == 0
+        captured = capsys.readouterr()
+        assert "+sim-scalar" in captured.out
+        assert "verified=True" in captured.out
+        assert "--oracle` is deprecated" in captured.err
+        assert len(ResultStore(store)) == 0
 
     def test_run_rejects_learned_oracle(self, capsys):
-        """``repro run`` only offers exact oracles; the surrogate is a
-        tune-time prefilter (argparse choices enforce it)."""
+        """``repro run`` only offers simulator engines; the surrogate is
+        a tune-time prefilter (argparse choices enforce it)."""
         from repro.cli import main
 
         with pytest.raises(SystemExit):
             main(["run", "spmv", "grid-level", "--oracle", "surrogate"])
         assert "surrogate" in capsys.readouterr().err
 
+    def test_run_rejects_oracle_beside_another_backend(self, capsys):
+        """``--oracle`` picks a simulator engine; the CPU interpreter has
+        only one."""
+        from repro.cli import main
+
+        assert main(["run", "spmv", "grid-level", "--scale", "0.05",
+                     "--backend", "cpu", "--oracle", "sim-scalar"]) == 2
+        assert "cpu backend has only one" in capsys.readouterr().err
+
+    def test_tune_no_longer_offers_the_scalar_engine(self, capsys):
+        """``sim-scalar`` left the oracle registry: the tuner scores with
+        ``sim`` or ``surrogate`` only."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["tune", "sssp", "--oracle", "sim-scalar"])
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_list_shows_oracles(self, capsys):
         from repro.cli import main
 
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "sim-scalar" in out and "surrogate" in out
+        assert "oracles (repro tune --oracle)" in out
+        assert "sim-scalar" not in out and "surrogate" in out

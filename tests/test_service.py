@@ -67,8 +67,7 @@ class TestProtocol:
         spec = RunSpec(app="sssp", variant="consolidated", strategy="block",
                        allocator="halloc", config=(1, 13, 128),
                        threshold=32, workload="star",
-                       cost=DEFAULT_COST_MODEL.scaled(atomic_cycles=7),
-                       backend="cpu", oracle="sim-scalar")
+                       cost=DEFAULT_COST_MODEL.scaled(atomic_cycles=7))
         # every field non-default: no axis may be dropped on the wire
         for field in dataclasses.fields(RunSpec):
             if field.name != "dataset":  # exclusive with workload
@@ -318,29 +317,22 @@ class TestSubmit:
         assert ok.source in ("executed", "cached")
 
     def test_backend_axis_reaches_the_server(self, service):
-        """A submit's backend is run, not dropped: the cpu interpreter's
-        runs report no cycles, the simulator's do."""
+        """A submit carrying a backend reaches the server and is
+        rejected as an unknown RunSpec field, never silently run on the
+        simulator (where a run executes is not part of its identity);
+        the connection survives it."""
         _, sock = service
-        with ServiceClient(socket_path=sock) as client:
-            cpu = client.submit("sssp", "no-dp", backend="cpu")
-            sim = client.submit("sssp", "no-dp")
-        assert cpu.metrics.cycles == 0 and sim.metrics.cycles > 0
-        assert cpu.checked and sim.checked
-
-    def test_submit_config_shim(self, service):
-        """The deprecated ``submit_config`` warns and lands on the
-        RunSpec spelling's cache entry."""
-        from repro.run_config import RunConfig
-
-        _, sock = service
-        with ServiceClient(socket_path=sock) as client:
-            spec = client.submit_spec(RunSpec("spmv", "grid-level"))
-            with pytest.deprecated_call():
-                shim = client.submit_config(
-                    "spmv", RunConfig(variant="consolidated",
-                                      strategy="grid"))
-        assert shim.source == "cached"
-        assert shim.metrics == spec.metrics
+        replies = _raw_exchange(sock, [
+            {"op": "hello", "protocol": PROTOCOL_VERSION},
+            {"op": "submit", "id": 1,
+             "spec": {"app": "sssp", "variant": "no-dp", "backend": "cpu"}},
+            {"op": "submit", "id": 2,
+             "spec": {"app": "sssp", "variant": "no-dp"}},
+        ], expect=3)
+        rejected, sim = replies[1], replies[2]
+        assert not rejected["ok"]
+        assert "unknown RunSpec field(s): backend" in rejected["error"]
+        assert sim["ok"] and sim["run"]["metrics"]["cycles"] > 0
 
     def test_variant_strategy_contradiction_is_clean(self, service):
         _, sock = service

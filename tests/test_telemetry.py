@@ -7,8 +7,7 @@ Three families:
   registry and its Prometheus rendering;
 * the **never-perturb** invariants: telemetry off allocates no spans,
   a spec resolved or keyed under ``tracing()`` is the untraced one
-  (``RunSpec`` has no trace field; the deprecated ``RunConfig.trace``
-  hook stays out of identity too), and a traced run's ``RunMetrics``
+  (``RunSpec`` has no trace field), and a traced run's ``RunMetrics``
   are bitwise-identical to an untraced one;
 * the ``ServiceMetrics`` fold onto the registry — the original
   attribute surface, ``snapshot()`` and ``describe_status`` rendering
@@ -304,39 +303,6 @@ class TestNonPerturbation:
         names = {e["name"] for e in obj["traceEvents"] if e["ph"] == "X"}
         # the deterministic sim-phase taxonomy
         assert {"app.verify", "sim.codegen", "sim.round-loop"} <= names
-
-    def test_run_config_trace_hook(self, tmp_path):
-        """The deprecated ``RunConfig(trace=...)`` hook still writes a
-        trace rooted at ``app.run`` and still leaves metrics and the
-        store entry alone."""
-        from repro.apps import get_app
-        from repro.experiments import (ExperimentRunner, ResultStore,
-                                       RunSpec)
-        from repro.run_config import RunConfig
-
-        app = get_app("sssp")
-        dataset = app.default_dataset(SCALE)
-        plain = app.run(RunSpec("sssp", "consolidated"), dataset=dataset)
-        trace_path = tmp_path / "run.json"
-        with pytest.deprecated_call():
-            cfg = RunConfig(variant="consolidated", trace=str(trace_path))
-            assert cfg == RunConfig(variant="consolidated")
-            assert "trace" not in cfg.axes()
-            traced = app.run(cfg, dataset=dataset)
-        assert dataclasses.asdict(plain.metrics) == \
-            dataclasses.asdict(traced.metrics)
-        with open(trace_path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        names = {e["name"] for e in obj["traceEvents"] if e["ph"] == "X"}
-        assert {"app.run", "app.verify", "sim.codegen",
-                "sim.round-loop"} <= names
-        runner = ExperimentRunner(scale=SCALE, verify=False,
-                                  store=ResultStore(tmp_path / "cache"))
-        runner.run_spec(RunSpec("sssp", "basic-dp"))
-        with pytest.deprecated_call():
-            runner.run_config("sssp", RunConfig(
-                variant="basic-dp", trace=str(tmp_path / "t.json")))
-        assert runner.stats.executed == 1  # a hit, not a fork
 
     def test_untraced_run_records_no_spans(self):
         from repro.apps import get_app
