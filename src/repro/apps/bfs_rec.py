@@ -130,9 +130,9 @@ class BFSRecApp(App):
             d += 1
         return levels
 
-    def check(self, result, dataset) -> bool:
+    def check(self, result, dataset, reference=None) -> bool:
         g = dataset
-        ref = self.reference(dataset)
+        ref = self.reference(dataset) if reference is None else reference
         # same visited set as the reachable set
         if not np.array_equal(result >= 0, ref >= 0):
             return False

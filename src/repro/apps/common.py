@@ -24,12 +24,13 @@ from typing import Optional
 
 import numpy as np
 
+from ..backend.codegen import CompiledModule
 from ..backends import DEFAULT_BACKEND, get_backend
 from ..compiler import consolidate_source
 from ..compiler.consolidator import ConsolidationReport
 from ..errors import ReproError
 from ..registry import Registry
-from ..sim.device import Device
+from ..sim.device import Device, compile_program
 from ..sim.occupancy import LaunchConfig
 from ..sim.profiler import RunMetrics
 from ..sim.specs import DEFAULT_COST_MODEL, DeviceSpec, K20C
@@ -151,13 +152,15 @@ class App(abc.ABC):
     def variant_source(self, variant: str,
                        config: Optional[LaunchConfig] = None,
                        spec: DeviceSpec = K20C,
-                       strategy: Optional[str] = None
+                       strategy: Optional[str] = None, *,
+                       build: Optional["BuildCache"] = None
                        ) -> tuple[str, Optional[ConsolidationReport]]:
         """Source text + consolidation report for a variant.
 
         ``strategy`` names a registered consolidation strategy; it is
         only meaningful with the ``consolidated`` variant (or, redundantly,
-        with the matching per-granularity variant).
+        with the matching per-granularity variant). ``build`` serves the
+        consolidation from a :class:`BuildCache`.
         """
         variant, strategy = canonicalize_variant(variant, strategy)
         if variant == TUNED:
@@ -171,14 +174,14 @@ class App(abc.ABC):
         if variant == FLAT:
             return self.flat_source(), None
         if variant == CONS:
-            # non-builtin (or pragma-default) strategy
-            res = consolidate_source(self.annotated_source(),
-                                     granularity=strategy,
-                                     config=config, spec=spec)
-            return res.source, res.report
-        gran = CONSOLIDATED.get(variant)
-        if gran is None:
-            raise ValueError(f"unknown variant {variant!r}")
+            gran = strategy  # non-builtin (or pragma-default) strategy
+        else:
+            gran = CONSOLIDATED.get(variant)
+            if gran is None:
+                raise ValueError(f"unknown variant {variant!r}")
+        if build is not None:
+            return build.consolidate(self.annotated_source(), gran, config,
+                                     spec)
         res = consolidate_source(self.annotated_source(), granularity=gran,
                                  config=config, spec=spec)
         return res.source, res.report
@@ -210,15 +213,22 @@ class App(abc.ABC):
     def reference(self, dataset) -> np.ndarray:
         """Ground-truth result computed with NumPy/SciPy."""
 
-    def check(self, result: np.ndarray, dataset) -> bool:
-        """Default check: exact match against the reference."""
-        return np.array_equal(result, self.reference(dataset))
+    def check(self, result: np.ndarray, dataset,
+              reference: Optional[np.ndarray] = None) -> bool:
+        """Default check: exact match against the reference.
+
+        ``reference`` is ``self.reference(dataset)`` when the caller
+        already has it (:meth:`BuildCache.reference`); None computes it.
+        """
+        ref = self.reference(dataset) if reference is None else reference
+        return np.array_equal(result, ref)
 
     # -- measured execution ------------------------------------------------------
 
     def run(self, run, dataset=None, *, scale: float = 1.0,
             spec: DeviceSpec = K20C, heap_bytes: Optional[int] = None,
-            verify: bool = True, backend=None) -> AppRun:
+            verify: bool = True, backend=None,
+            build: Optional["BuildCache"] = None) -> AppRun:
         """Execute one run of this app on a fresh device and profile it.
 
         ``run`` is a :class:`~repro.experiments.plan.RunSpec` for this
@@ -237,8 +247,14 @@ class App(abc.ABC):
         ``repro.telemetry.tracing()`` or ``repro.perf.profiling()``;
         neither can change its result.
 
-        A :class:`~repro.errors.ReproError` raised while loading,
-        driving or synchronizing the device keeps its type and text,
+        ``build`` is a :class:`BuildCache` that serves a simulator run's
+        consolidation, compiled program and reference from earlier runs
+        with the same inputs; ``None`` builds everything from scratch.
+        The experiment runner passes its own. Other backends always
+        build from source.
+
+        A :class:`~repro.errors.ReproError` raised while consolidating,
+        compiling, driving or synchronizing keeps its type and text,
         prefixed with the app and variant.
         """
         # per-axis/RunConfig shims removed per repro.errors.DeprecationPolicy
@@ -258,16 +274,19 @@ class App(abc.ABC):
 
                 dataset = materialize_for_app(self, run.workload, scale)
         cost = DEFAULT_COST_MODEL if run.cost is None else run.cost
-        source, report = self.variant_source(
-            run.variant, config=run.launch_config(spec), spec=spec,
-            strategy=run.strategy)
         if backend is None:
             backend = get_backend(DEFAULT_BACKEND)
         device = backend.make_device(spec=spec, cost=cost,
                                      allocator=run.allocator,
                                      heap_bytes=heap_bytes)
+        if not isinstance(device, Device):
+            build = None  # e.g. the CPU interpreter, which walks the AST
         try:
-            program = device.load(source)
+            source, report = self.variant_source(
+                run.variant, config=run.launch_config(spec), spec=spec,
+                strategy=run.strategy, build=build)
+            program = device.load(
+                source if build is None else build.program(source))
             result = self.host_run(device, program, dataset, run)
             metrics = device.synchronize()
         except ReproError as exc:
@@ -276,7 +295,9 @@ class App(abc.ABC):
         checked = False
         if verify:
             with span("app.verify", app=self.key):
-                good = self.check(result, dataset)
+                reference = (None if build is None
+                             else build.reference(self, dataset))
+                good = self.check(result, dataset, reference=reference)
             if not good:
                 raise AssertionError(
                     f"{self.label} [{run.variant}] produced a wrong result "
@@ -293,6 +314,75 @@ class App(abc.ABC):
             metrics=metrics, result=result, report=report, checked=checked,
             strategy=run.strategy,
         )
+
+
+class BuildCache:
+    """What simulator runs build before they execute, memoized by content.
+
+    The figure plan's 144 runs consolidate only 72 distinct inputs into
+    83 distinct programs and verify against 9 datasets, so an
+    :class:`~repro.experiments.ExperimentRunner` owns one cache and
+    passes it to :meth:`App.run` (each ``--jobs N`` worker owns its
+    own). Three memos, each keyed by every input of its value:
+
+    * consolidation: (annotated source, strategy, launch config, device
+      spec) -> (consolidated source, shared frozen report);
+    * program: MiniCUDA source text -> :class:`CompiledModule`;
+    * reference: (app, dataset fingerprint) -> read-only array.
+
+    A consolidation miss compiles the consolidator's checked module
+    rather than parsing the source it prints; both give the same Python
+    (DESIGN.md §8). Entries are text, generated code and arrays, never
+    an AST or ``ModuleInfo``. A build that raises stores nothing.
+    """
+
+    def __init__(self) -> None:
+        self._consolidations: dict = {}
+        self._programs: dict[str, CompiledModule] = {}
+        self._references: dict = {}
+
+    def __len__(self) -> int:
+        return (len(self._consolidations) + len(self._programs)
+                + len(self._references))
+
+    def clear(self) -> None:
+        self._consolidations.clear()
+        self._programs.clear()
+        self._references.clear()
+
+    def consolidate(self, annotated: str, strategy: Optional[str],
+                    config: Optional[LaunchConfig], spec: DeviceSpec
+                    ) -> tuple[str, ConsolidationReport]:
+        """:func:`~repro.compiler.consolidate_source`'s source and report,
+        compiling a miss's program from its checked module."""
+        key = (annotated, strategy, config, spec)
+        hit = self._consolidations.get(key)
+        if hit is None:
+            res = consolidate_source(annotated, granularity=strategy,
+                                     config=config, spec=spec)
+            if res.source not in self._programs:
+                self._programs[res.source] = compile_program(res.info)
+            hit = self._consolidations[key] = (res.source, res.report)
+        return hit
+
+    def program(self, source: str) -> CompiledModule:
+        """The simulator program of a MiniCUDA source text."""
+        compiled = self._programs.get(source)
+        if compiled is None:
+            compiled = self._programs[source] = compile_program(source)
+        return compiled
+
+    def reference(self, app: App, dataset) -> np.ndarray:
+        """``app.reference(dataset)``, read-only."""
+        from ..experiments.store import dataset_fingerprint
+
+        key = (app.key, dataset_fingerprint(dataset))
+        ref = self._references.get(key)
+        if ref is None:
+            ref = np.array(app.reference(dataset))
+            ref.setflags(write=False)
+            self._references[key] = ref
+        return ref
 
 
 #: key -> app singleton, populated by repro.apps.__init__

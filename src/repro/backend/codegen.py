@@ -24,6 +24,8 @@ and pointer-vs-scalar decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from ..errors import CodegenError
 from ..frontend.ast_nodes import (
@@ -707,14 +709,16 @@ def generate_module_source(info: ModuleInfo) -> str:
     return "\n\n".join(parts) + "\n"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledModule:
-    """A loaded MiniCUDA module: kernel generator functions + metadata."""
+    """A compiled MiniCUDA module: the generated Python and its generator
+    functions. It keeps no AST or :class:`ModuleInfo`, and its tables are
+    read-only, so one instance can be loaded on any number of devices
+    (``repro.apps.common.BuildCache``)."""
 
-    info: ModuleInfo
     python_source: str
-    kernels: dict[str, object]
-    functions: dict[str, object]
+    kernels: Mapping[str, object]
+    functions: Mapping[str, object]
 
 
 def compile_module(info: ModuleInfo, filename: str = "<minicuda>") -> CompiledModule:
@@ -724,8 +728,7 @@ def compile_module(info: ModuleInfo, filename: str = "<minicuda>") -> CompiledMo
     code = compile(source, filename + ".py", "exec")
     exec(code, namespace)
     return CompiledModule(
-        info=info,
         python_source=source,
-        kernels=namespace["KERNELS"],
-        functions=namespace["FUNCTIONS"],
+        kernels=MappingProxyType(namespace["KERNELS"]),
+        functions=MappingProxyType(namespace["FUNCTIONS"]),
     )

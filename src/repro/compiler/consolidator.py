@@ -25,9 +25,12 @@ from .parent_transform import transform_parent
 from .strategies import get_strategy
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConsolidationReport:
-    """What the compiler did — consumed by experiments and shown to users."""
+    """What the compiler did — consumed by experiments and shown to users.
+
+    Frozen: a build cache hands one report to every run that shares its
+    consolidation."""
 
     granularity: str
     buffer_type: str

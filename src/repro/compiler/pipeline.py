@@ -15,13 +15,17 @@ is applied is decided by a pluggable
     >>> print(result.source)          # the generated CUDA
     >>> print(result.report.describe())
 
-Each call re-parses the input so the same annotated source can be
+Each call parses its input afresh, so the same annotated source can be
 consolidated under every strategy independently. Compilation is pure and
 deterministic: the same (source, strategy, config, spec) inputs yield
 byte-identical output in any process. The experiment layer leans on this
-— consolidation happens *inside* each cached application run, so the
-work-plan scheduler (DESIGN.md §8) can fan runs across worker processes
-and content-address the results without ever hashing compiler state.
+twice. Consolidation happens *inside* each cached application run, so
+the work-plan scheduler (DESIGN.md §8) can fan runs across worker
+processes and content-address the results without hashing compiler
+state. And a runner's :class:`~repro.apps.common.BuildCache` memoizes
+consolidations by exactly those inputs, compiling a miss's checked
+``result.info`` for the simulator rather than re-parsing
+``result.source`` (both give the same program; DESIGN.md §8).
 """
 
 from __future__ import annotations

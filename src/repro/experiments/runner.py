@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from ..apps import get_app
-from ..apps.common import CONS, TUNED, AppRun
+from ..apps.common import CONS, TUNED, AppRun, BuildCache
 from ..sim.specs import CostModel, DEFAULT_COST_MODEL, DeviceSpec, K20C
 from ..telemetry import span
 from .plan import RunSpec, WorkPlan
@@ -63,20 +63,21 @@ class RunStats:
 
 
 def _execute(spec: RunSpec, dataset, device_spec: DeviceSpec,
-             verify: bool) -> AppRun:
+             verify: bool, build: BuildCache) -> AppRun:
     """Execute one resolved RunSpec against a materialized dataset."""
     return get_app(spec.app).run(spec, dataset, spec=device_spec,
-                                 verify=verify)
+                                 verify=verify, build=build)
 
 
 #: per-worker state installed by :func:`_init_worker` — the datasets are
-#: shipped once per worker (pool initializer), not once per task
+#: shipped once per worker (pool initializer), not once per task, and
+#: each worker builds into its own cache
 _WORKER_STATE = None
 
 
 def _init_worker(datasets, device_spec, verify) -> None:
     global _WORKER_STATE
-    _WORKER_STATE = (datasets, device_spec, verify)
+    _WORKER_STATE = (datasets, device_spec, verify, BuildCache())
 
 
 def _dataset_name(spec: RunSpec):
@@ -86,9 +87,9 @@ def _dataset_name(spec: RunSpec):
 
 
 def _execute_in_worker(spec: RunSpec) -> AppRun:
-    datasets, device_spec, verify = _WORKER_STATE
+    datasets, device_spec, verify, build = _WORKER_STATE
     return _execute(spec, datasets[(spec.app, _dataset_name(spec))],
-                    device_spec, verify)
+                    device_spec, verify, build)
 
 
 def _pool_context():
@@ -138,6 +139,10 @@ class ExperimentRunner:
     #: optional named datasets (e.g. Fig. 6's tree dataset1/dataset2)
     _datasets: dict = field(default_factory=dict, repr=False)
     _fingerprints: dict = field(default_factory=dict, repr=False)
+    #: consolidations, programs and references of this runner's runs;
+    #: scoped to the runner (not the process) so that every new runner,
+    #: like every `repro all`, pays its own first builds
+    _build: BuildCache = field(default_factory=BuildCache, repr=False)
 
     def __post_init__(self) -> None:
         if self.training_log is None and self.store is not None:
@@ -304,8 +309,8 @@ class ExperimentRunner:
         return None
 
     def trim_memory(self) -> None:
-        """Drop the in-process AppRun cache (the batch hook a long-lived
-        service calls between batches).
+        """Drop the in-process AppRun cache and the build cache (the
+        batch hook a long-lived service calls between batches).
 
         Only sensible with an on-disk store attached: the store keeps
         every result, so later lookups become disk hits instead of
@@ -316,6 +321,7 @@ class ExperimentRunner:
         are bounded by the workload registry and expensive to rebuild.
         """
         self._cache.clear()
+        self._build.clear()
 
     def resolve(self, spec: RunSpec) -> RunSpec:
         """Public :meth:`_resolve`: fill every runner/app default so the
@@ -337,7 +343,8 @@ class ExperimentRunner:
             dataset = self.dataset(resolved.app, _dataset_name(resolved))
             with span("runner.execute", app=resolved.app,
                       variant=resolved.variant):
-                run = _execute(resolved, dataset, self.spec, self.verify)
+                run = _execute(resolved, dataset, self.spec, self.verify,
+                               self._build)
             self._admit(resolved, run)
         return run
 
@@ -397,7 +404,7 @@ class ExperimentRunner:
                         run = _execute(
                             resolved,
                             datasets[(resolved.app, _dataset_name(resolved))],
-                            self.spec, self.verify)
+                            self.spec, self.verify, self._build)
                     self._admit(resolved, run)
         return RunStats(
             executed=self.stats.executed - before.executed,

@@ -55,6 +55,24 @@ ENGINES = {
 DEFAULT_ENGINE = "vectorized"
 
 
+def compile_program(module: Union[str, Module, ModuleInfo]) -> CompiledModule:
+    """Parse, check and compile a MiniCUDA module for the simulator.
+
+    A :class:`ModuleInfo` (e.g. a consolidation result's, already checked)
+    goes straight to codegen.
+    """
+    with span("sim.codegen"):
+        if isinstance(module, str):
+            module = parse(module)
+        if isinstance(module, Module):
+            # allow __dp_* names: consolidated sources legitimately use
+            # them, and the compiler has already vetted user inputs
+            info = check_module(module, allow_reserved=True)
+        else:
+            info = module
+        return compile_module(info)
+
+
 class Program:
     """A loaded MiniCUDA module bound to a device."""
 
@@ -121,19 +139,12 @@ class Device:
 
     # ------------------------------------------------------------- loading
 
-    def load(self, module: Union[str, Module, ModuleInfo]) -> Program:
-        """Parse/check/compile a MiniCUDA module and register its kernels."""
-        with span("sim.codegen"):
-            if isinstance(module, str):
-                module = parse(module)
-            if isinstance(module, Module):
-                # allow __dp_* names: consolidated sources legitimately
-                # use them, and the compiler has already vetted user
-                # inputs
-                info = check_module(module, allow_reserved=True)
-            else:
-                info = module
-            compiled = compile_module(info)
+    def load(self, module: Union[str, Module, ModuleInfo,
+                                 CompiledModule]) -> Program:
+        """Register a MiniCUDA module's kernels, compiling it first
+        (:func:`compile_program`) unless it already is compiled."""
+        compiled = (module if isinstance(module, CompiledModule)
+                    else compile_program(module))
         for name, fn in compiled.functions.items():
             existing = self.kernels.get(name)
             if existing is not None:
