@@ -113,37 +113,6 @@ def _make_client(args):
     return ServiceClient(socket_path=path).connect()
 
 
-#: deprecated ``repro run --oracle`` values -> the simulator engine each
-#: runs (the scalar engine is a differential reference, not an oracle)
-_RUN_ORACLE_ENGINES = {"sim": None, "sim-scalar": "scalar"}
-
-
-def _deprecated_run_backend(args):
-    """The backend ``repro run --backend/--oracle`` names, or None.
-
-    Both flags are deprecated (repro.errors.DeprecationPolicy): where a
-    run executes is not part of its identity, so such a run bypasses
-    the result store. Each prints a notice on stderr.
-    """
-    if args.backend is None and args.oracle is None:
-        return None
-    from .backends import DEFAULT_BACKEND, SimBackend, get_backend
-    from .errors import DeprecationPolicy
-
-    for flag in ("backend", "oracle"):
-        if getattr(args, flag) is not None:
-            print(f"warning: `repro run --{flag}` is deprecated; this run "
-                  "is not cached (pass backend= to App.run instead; "
-                  f"{DeprecationPolicy})", file=sys.stderr)
-    backend = get_backend(args.backend or DEFAULT_BACKEND)
-    if args.oracle is not None:
-        if backend.name != DEFAULT_BACKEND:
-            raise ValueError(f"--oracle selects a simulator engine; the "
-                             f"{backend.name} backend has only one")
-        backend = SimBackend(engine=_RUN_ORACLE_ENGINES[args.oracle])
-    return backend
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -191,17 +160,7 @@ def main(argv=None) -> int:
     p.add_argument("--objective", default="cycles",
                    choices=list(OBJECTIVES),
                    help="which tuned config the 'tuned' variant consumes")
-    from .backends import available_backends
-
-    p.add_argument("--backend", default=None,
-                   choices=list(available_backends()),
-                   help="deprecated: run once, uncached, on this backend "
-                        "('cpu' cross-checks on the NumPy interpreter)")
-    p.add_argument("--oracle", default=None,
-                   choices=list(_RUN_ORACLE_ENGINES),
-                   help="deprecated: run once, uncached, on this "
-                        "simulator engine ('sim-scalar' is the scalar "
-                        "reference engine)")
+    # --backend and --oracle were removed per repro.errors.DeprecationPolicy
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="also record a span trace of this run and write "
                         "it as Chrome trace-event JSON to PATH")
@@ -282,6 +241,8 @@ def main(argv=None) -> int:
                    help="diff/check: ignore relative changes at or below "
                         "this (default 0.02)")
     _add_cache(p)
+
+    from .backends import available_backends
 
     p = sub.add_parser("compile", help="print consolidated CUDA for an app")
     p.add_argument("app")
@@ -563,7 +524,6 @@ def main(argv=None) -> int:
         tracer = None
         t0 = time.time()
         try:
-            backend = _deprecated_run_backend(args)
             if args.variant == "tuned":
                 # the same selection _resolve_tuned uses, so the
                 # provenance line always describes the config that runs
@@ -580,16 +540,7 @@ def main(argv=None) -> int:
                     tracer = stack.enter_context(tracing(Tracer()))
                     stack.enter_context(span("repro.run", app=args.app,
                                              variant=args.variant))
-                if backend is None:
-                    run = runner.run_spec(spec)
-                else:
-                    # uncached, so a cycles=0 CPU result never lands in
-                    # a shared store
-                    resolved = runner.resolve(spec)
-                    run = app.run(resolved,
-                                  runner.dataset(args.app, resolved.workload),
-                                  spec=runner.spec, verify=runner.verify,
-                                  backend=backend)
+                run = runner.run_spec(spec)
         except ValueError as exc:  # e.g. variant/strategy contradiction
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -601,16 +552,12 @@ def main(argv=None) -> int:
         wall = time.time() - t0
         label = run.variant if run.strategy is None else \
             f"{run.variant}:{run.strategy}"
-        if args.backend not in (None, "sim"):
-            label += f"@{args.backend}"
-        if args.oracle not in (None, "sim"):
-            label += f"+{args.oracle}"
         print(f"{app.label} [{label}] on {run.dataset} "
               f"(verified={run.checked}, wall={wall:.1f}s)")
         if run.report is not None:
             print(f"  {run.report.describe()}")
         print(run.metrics.summary())
-        if store is not None and backend is None:
+        if store is not None:
             from .experiments.reporting import run_provenance
 
             print(run_provenance(runner.stats))

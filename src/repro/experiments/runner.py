@@ -86,6 +86,21 @@ def _dataset_name(spec: RunSpec):
     return spec.workload if spec.workload is not None else spec.dataset
 
 
+def _spelling(spec: RunSpec) -> tuple:
+    """What the runner's resolution and key memos key a spec on.
+
+    Equal specs can still key apart: a cost model or launch config
+    holding ``80`` equals one holding ``80.0`` but serializes
+    differently. So the cost model counts by identity (the memo's key
+    holds the spec, hence the model, so its id is never reused) and the
+    launch config by the types of its members."""
+    config = spec.config
+    if config is not None and not isinstance(config, tuple):
+        config = RunSpec.config_key(config)
+    return (spec, id(spec.cost),
+            None if config is None else tuple(map(type, config)))
+
+
 def _execute_in_worker(spec: RunSpec) -> AppRun:
     datasets, device_spec, verify, build = _WORKER_STATE
     return _execute(spec, datasets[(spec.app, _dataset_name(spec))],
@@ -139,6 +154,10 @@ class ExperimentRunner:
     #: optional named datasets (e.g. Fig. 6's tree dataset1/dataset2)
     _datasets: dict = field(default_factory=dict, repr=False)
     _fingerprints: dict = field(default_factory=dict, repr=False)
+    #: spelling -> resolved spec, and spelling of a resolved spec ->
+    #: content key (:func:`_spelling`); per runner, like the build cache
+    _resolutions: dict = field(default_factory=dict, repr=False)
+    _keys: dict = field(default_factory=dict, repr=False)
     #: consolidations, programs and references of this runner's runs;
     #: scoped to the runner (not the process) so that every new runner,
     #: like every `repro all`, pays its own first builds
@@ -177,12 +196,16 @@ class ExperimentRunner:
 
     def register_dataset(self, app_key: str, name: str, dataset) -> None:
         self._datasets[(app_key, name)] = dataset
-        # the content address and the memoized runs must track the
-        # dataset actually registered
+        # the content address, the memoized keys and the memoized runs
+        # must track the dataset actually registered
         self._fingerprints.pop((app_key, name), None)
-        for spec in [spec for spec in self._cache if spec.app == app_key
-                     and _dataset_name(spec) == name]:
+
+        def stale(spec):
+            return spec.app == app_key and _dataset_name(spec) == name
+        for spec in [spec for spec in self._cache if stale(spec)]:
             del self._cache[spec]
+        for spelling in [s for s in self._keys if stale(s[0])]:
+            del self._keys[spelling]
 
     def _fingerprint(self, app_key: str, name: Optional[str]) -> str:
         key = (app_key, name)
@@ -245,30 +268,46 @@ class ExperimentRunner:
     def _resolve(self, spec: RunSpec) -> RunSpec:
         """Canonicalize a spec (:meth:`RunSpec.canonical`), lower the
         ``'tuned'`` variant and fill the runner/app defaults, so the
-        result fully determines (and uniquely keys) the run."""
+        result fully determines (and uniquely keys) the run.
+
+        Memoized per spelling, except ``'tuned'`` specs: their
+        resolution reads the tuned registry, which the tuner and the
+        daemon update."""
         if spec.variant == TUNED:
             spec = self._resolve_tuned(spec.canonical())
-        return spec.canonical(cost=self.cost,
-                              threshold=get_app(spec.app).threshold)
+            return spec.canonical(cost=self.cost,
+                                  threshold=get_app(spec.app).threshold)
+        spelling = _spelling(spec)
+        resolved = self._resolutions.get(spelling)
+        if resolved is None:
+            resolved = self._resolutions[spelling] = spec.canonical(
+                cost=self.cost, threshold=get_app(spec.app).threshold)
+        return resolved
 
     def _content_key(self, resolved: RunSpec) -> str:
-        from .. import __version__
+        """The store address of a resolved spec, memoized per spelling
+        (:meth:`register_dataset` drops the keys of a name it rebinds)."""
+        spelling = _spelling(resolved)
+        key = self._keys.get(spelling)
+        if key is None:
+            from .. import __version__
 
-        return run_key(
-            app=resolved.app,
-            variant=resolved.variant,
-            allocator=resolved.allocator,
-            config=resolved.config,
-            dataset_fp=self._fingerprint(resolved.app,
-                                         _dataset_name(resolved)),
-            cost=resolved.cost,
-            spec=self.spec,
-            threshold=resolved.threshold,
-            verify=self.verify,
-            version=__version__,
-            strategy=resolved.strategy,
-            workload=resolved.workload,
-        )
+            key = self._keys[spelling] = run_key(
+                app=resolved.app,
+                variant=resolved.variant,
+                allocator=resolved.allocator,
+                config=resolved.config,
+                dataset_fp=self._fingerprint(resolved.app,
+                                             _dataset_name(resolved)),
+                cost=resolved.cost,
+                spec=self.spec,
+                threshold=resolved.threshold,
+                verify=self.verify,
+                version=__version__,
+                strategy=resolved.strategy,
+                workload=resolved.workload,
+            )
+        return key
 
     # -- execution ------------------------------------------------------------
 
@@ -309,8 +348,9 @@ class ExperimentRunner:
         return None
 
     def trim_memory(self) -> None:
-        """Drop the in-process AppRun cache and the build cache (the
-        batch hook a long-lived service calls between batches).
+        """Drop the in-process AppRun cache, the build cache and the
+        resolution and key memos (the batch hook a long-lived service
+        calls between batches).
 
         Only sensible with an on-disk store attached: the store keeps
         every result, so later lookups become disk hits instead of
@@ -322,6 +362,8 @@ class ExperimentRunner:
         """
         self._cache.clear()
         self._build.clear()
+        self._resolutions.clear()
+        self._keys.clear()
 
     def resolve(self, spec: RunSpec) -> RunSpec:
         """Public :meth:`_resolve`: fill every runner/app default so the

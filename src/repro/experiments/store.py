@@ -24,11 +24,12 @@ content address), so the N concurrent writers of an experiment service
 (:mod:`repro.service`) spread directory-entry churn across ``shards``
 independent directories instead of contending on one. Reads remain
 transparently compatible with the pre-shard flat layout
-(``<key[:2]>/<key>.pkl``): a lookup tries the computed shard first, then
-the legacy path, then every shard directory (covering stores written
-with a different shard count) — and the first ``put`` of a key migrates
-its legacy entry into the shard layout, so mixed-layout stores converge
-without a rewrite pass. See DESIGN.md §13.
+(``<key[:2]>/<key>.pkl``): a lookup opens the computed shard path
+directly and only when that is absent tries the legacy path, then every
+shard directory (covering stores written with a different shard count)
+— and the first ``put`` of a key migrates its legacy entry into the
+shard layout, so mixed-layout stores converge without a rewrite pass.
+See DESIGN.md §13.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ import json
 import os
 import pickle
 import tempfile
+import threading
+from collections import OrderedDict
 from pathlib import Path
 from typing import Optional
 
@@ -101,6 +104,48 @@ def dataset_fingerprint(dataset) -> str:
     return h.hexdigest()
 
 
+#: how many frozen configs :func:`config_dict` keeps serialized; a
+#: process meets a handful (the runner's cost model and device spec,
+#: an ablation's scaled models)
+CONFIG_MEMO_SIZE = 32
+
+#: id -> (config, its asdict), least recently used first; each entry
+#: holds its config, so no other object can take that id while cached
+_config_dicts: OrderedDict = OrderedDict()
+_config_lock = threading.Lock()
+
+
+def config_dict(config) -> dict:
+    """``dataclasses.asdict`` of a frozen config (a cost model, a device
+    spec), computed once per object and handed out as a fresh copy.
+
+    The one serializer behind :func:`run_key`,
+    :func:`repro.tuning.registry.tuned_key` and
+    :func:`repro.oracle.training.cost_fingerprint`, which would
+    otherwise call ``asdict`` twice per content key. The memo is keyed
+    on object identity, never on equality: ``CostModel(x=80)`` equals
+    ``CostModel(x=80.0)`` (and hashes alike) but serializes to a
+    different key, so a value-keyed memo would make a key depend on
+    which spelling the process met first. The copy is one level deep:
+    a config's fields are scalars. Non-frozen dataclasses are not
+    memoized (they could change under their id).
+    """
+    if not type(config).__dataclass_params__.frozen:
+        return dataclasses.asdict(config)
+    ident = id(config)
+    with _config_lock:
+        entry = _config_dicts.get(ident)
+        if entry is not None:
+            _config_dicts.move_to_end(ident)
+            return dict(entry[1])
+    payload = dataclasses.asdict(config)
+    with _config_lock:
+        _config_dicts[ident] = (config, payload)
+        if len(_config_dicts) > CONFIG_MEMO_SIZE:
+            _config_dicts.popitem(last=False)
+    return dict(payload)
+
+
 def run_key(*, app: str, variant: str, allocator: str,
             config: Optional[tuple], dataset_fp: str,
             cost, spec, threshold: int, verify: bool,
@@ -134,8 +179,8 @@ def run_key(*, app: str, variant: str, allocator: str,
         "allocator": allocator,
         "config": list(config) if config is not None else None,
         "dataset": dataset_fp,
-        "cost": dataclasses.asdict(cost),
-        "spec": dataclasses.asdict(spec),
+        "cost": config_dict(cost),
+        "spec": config_dict(spec),
         "threshold": threshold,
         "verify": verify,
     }
@@ -186,8 +231,9 @@ class ResultStore:
 
         Checks the computed shard, then the flat legacy layout, then —
         for stores written under a different shard count — every shard
-        directory (one readdir, only on the miss path; misses are
-        followed by a simulation, which dwarfs it).
+        directory (one readdir; :meth:`get` comes here only on a miss
+        at the computed shard, and misses are followed by a simulation,
+        which dwarfs it).
         """
         path = self.path_for(key)
         if path.exists():
@@ -200,15 +246,32 @@ class ResultStore:
         return None
 
     def get(self, key: str):
-        """The stored AppRun, or None; corrupt entries count as misses."""
+        """The stored AppRun, or None; corrupt entries count as misses.
+
+        Opens the computed shard path without probing it first; only
+        when it is absent does the lookup fall back on :meth:`_locate`
+        (the legacy layout, other shard counts)."""
+        try:
+            return self._load(self.path_for(key))
+        except FileNotFoundError:
+            pass
         path = self._locate(key)
         if path is None:
             return None
         try:
+            return self._load(path)
+        except FileNotFoundError:  # a concurrent migration moved it
+            return None
+
+    @staticmethod
+    def _load(path: Path):
+        """Unpickle an entry; an unreadable one is removed and reads as
+        None. A missing one raises FileNotFoundError."""
+        try:
             with path.open("rb") as fh:
                 return pickle.load(fh)
         except FileNotFoundError:
-            return None
+            raise
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, ValueError):
             try:

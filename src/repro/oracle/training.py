@@ -16,11 +16,12 @@ line, so concurrent runners interleave whole rows.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
 from typing import Optional
+
+from ..experiments.store import config_dict
 
 #: bump when the row schema changes incompatibly; readers skip rows
 #: written under a different version
@@ -37,7 +38,7 @@ TARGET_METRICS = ("cycles", "warp_execution_efficiency", "dram_transactions")
 def cost_fingerprint(cost) -> str:
     """Short content hash of a cost model (training rows are only
     comparable under identical cost constants)."""
-    blob = json.dumps(dataclasses.asdict(cost), sort_keys=True, default=str)
+    blob = json.dumps(config_dict(cost), sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 

@@ -27,7 +27,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-from ..experiments.store import default_cache_dir
+from ..experiments.store import config_dict, default_cache_dir
 from .space import Candidate
 
 #: bump to invalidate every persisted tuned config on a format change
@@ -58,8 +58,8 @@ def tuned_key(*, app: str, objective: str, spec, cost, scale: float,
         "version": version,
         "app": app,
         "objective": objective,
-        "spec": dataclasses.asdict(spec),
-        "cost": dataclasses.asdict(cost),
+        "spec": config_dict(spec),
+        "cost": config_dict(cost),
         "scale": scale,
         "verify": verify,
     }

@@ -380,34 +380,8 @@ class TestRunnerBackendAxis:
 
 
 class TestCliBackend:
-    def test_run_with_cpu_backend(self, capsys):
-        from repro.cli import main
-
-        assert main(["run", "spmv", "block-level", "--scale", "0.1",
-                     "--backend", "cpu"]) == 0
-        captured = capsys.readouterr()
-        assert "@cpu" in captured.out
-        assert "verified=True" in captured.out
-        assert "--backend` is deprecated" in captured.err
-
-    def test_cpu_run_writes_no_store_entry(self, capsys, tmp_path):
-        """The deprecated flag runs uncached, so a ``cycles=0`` CPU
-        result never lands in a shared store."""
-        from repro.cli import main
-        from repro.experiments import ResultStore
-
-        store = tmp_path / "cache"
-        assert main(["run", "sssp", "no-dp", "--scale", "0.05",
-                     "--backend", "cpu", "--cache-dir", str(store)]) == 0
-        assert "cycles                 : 0" in capsys.readouterr().out
-        assert len(ResultStore(store)) == 0
-
-    def test_run_with_emit_only_backend_fails_cleanly(self, capsys):
-        from repro.cli import main
-
-        assert main(["run", "sssp", "no-dp", "--scale", "0.05",
-                     "--backend", "cuda"]) == 2
-        assert "does not execute" in capsys.readouterr().err
+    # `repro run --backend` was removed per repro.errors.DeprecationPolicy;
+    # test_run_config.py::TestCliOracle checks that argparse rejects it
 
     def test_list_shows_backends(self, capsys):
         from repro.cli import main

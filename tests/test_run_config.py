@@ -5,11 +5,11 @@ folds every spelling of a run onto one value, and construction itself
 never validates; (2) the frozen-payload run-key regression — the
 content address of every run is byte-identical to the payload rebuilt
 by hand, with no STORE_FORMAT bump; (3) the entry points —
-``App.run(RunSpec)``, the runner, the service wire format and the CLI's
-deprecated ``--oracle`` flag. A ``RunSpec`` holds only what changes a
-run's answer: where it executes (``backend``) and which engine answers
-it (the old ``oracle`` axis) are not fields, and the deprecated
-``RunConfig`` shims are gone.
+``App.run(RunSpec)``, the runner, the service wire format and the CLI,
+whose deprecated ``run --backend/--oracle`` flags are gone. A
+``RunSpec`` holds only what changes a run's answer: where it executes
+(``backend``) and which engine answers it (the old ``oracle`` axis) are
+not fields, and the deprecated ``RunConfig`` shims are gone.
 """
 
 import dataclasses
@@ -21,7 +21,7 @@ import pytest
 from repro import __version__
 from repro.apps import get_app
 from repro.backends import get_backend
-from repro.experiments import ExperimentRunner, ResultStore
+from repro.experiments import ExperimentRunner
 from repro.experiments.plan import RunSpec
 from repro.experiments.store import STORE_FORMAT, run_key
 from repro.service.client import ServiceClient
@@ -254,38 +254,28 @@ class TestWireFormat:
 
 
 class TestCliOracle:
-    def test_run_with_oracle(self, capsys, tmp_path):
-        """Deprecated: the run executes on the scalar engine, warns on
-        stderr, keeps its label and writes nothing to the store."""
+    def test_run_no_longer_takes_backend_or_oracle(self, capsys):
+        """Both flags were removed after their deprecation period
+        (repro.errors.DeprecationPolicy): argparse rejects each before
+        anything runs. Where a run executes is ``App.run(...,
+        backend=)``."""
         from repro.cli import main
 
-        store = tmp_path / "cache"
-        assert main(["run", "spmv", "grid-level", "--scale", "0.15",
-                     "--oracle", "sim-scalar",
-                     "--cache-dir", str(store)]) == 0
-        captured = capsys.readouterr()
-        assert "+sim-scalar" in captured.out
-        assert "verified=True" in captured.out
-        assert "--oracle` is deprecated" in captured.err
-        assert len(ResultStore(store)) == 0
+        for flag in (["--backend", "cpu"], ["--oracle", "sim-scalar"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["run", "spmv", "grid-level", *flag])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flag)}" in \
+                capsys.readouterr().err
 
     def test_run_rejects_learned_oracle(self, capsys):
-        """``repro run`` only offers simulator engines; the surrogate is
-        a tune-time prefilter (argparse choices enforce it)."""
+        """``repro run`` takes no oracle; the surrogate is a tune-time
+        prefilter."""
         from repro.cli import main
 
         with pytest.raises(SystemExit):
             main(["run", "spmv", "grid-level", "--oracle", "surrogate"])
         assert "surrogate" in capsys.readouterr().err
-
-    def test_run_rejects_oracle_beside_another_backend(self, capsys):
-        """``--oracle`` picks a simulator engine; the CPU interpreter has
-        only one."""
-        from repro.cli import main
-
-        assert main(["run", "spmv", "grid-level", "--scale", "0.05",
-                     "--backend", "cpu", "--oracle", "sim-scalar"]) == 2
-        assert "cpu backend has only one" in capsys.readouterr().err
 
     def test_tune_no_longer_offers_the_scalar_engine(self, capsys):
         """``sim-scalar`` left the oracle registry: the tuner scores with

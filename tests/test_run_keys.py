@@ -13,18 +13,34 @@ key, a sha256 of its full ``RunMetrics`` and three headline counters in
 plain text, so "``RunMetrics`` bit for bit" is an executed check rather
 than a claim. A change to the cost model or the engines regenerates it
 and says so.
+
+Deriving an identity is memoized in three places (DESIGN.md §8): one
+process-wide serializer of frozen configs and, per runner, resolutions
+and content keys. The last tests pin what a warm regeneration pays with
+them — counts, not timings — and that no memo moves a key: equal cost
+models spelled ``80`` and ``80.0`` keep their two keys in either order,
+and the tuned-registry and training-log addresses keep their bytes.
 """
 
 import dataclasses
 import hashlib
 import json
+from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import repro
 import repro.experiments as experiments
-from repro.experiments import ExperimentRunner
+import repro.experiments.runner as runner_module
+import repro.experiments.store as store_module
+from repro.experiments import ExperimentRunner, ResultStore
 from repro.experiments.plan import RunSpec
-from repro.sim.specs import DEFAULT_COST_MODEL
+from repro.experiments.store import config_dict, run_key
+from repro.oracle.training import cost_fingerprint
+from repro.sim.specs import DEFAULT_COST_MODEL, K20C
+from repro.tuning.registry import tuned_key
 
 FIXTURE = Path(__file__).parent / "fixtures" / "run_keys.json"
 METRICS_FIXTURE = Path(__file__).parent / "fixtures" / "run_metrics.json"
@@ -57,18 +73,19 @@ def _label(spec: RunSpec) -> str:
     return " ".join(parts)
 
 
+def _plan(runner) -> list:
+    return list(experiments.figure_plan(list(experiments.FIGURES), runner))
+
+
 def _keys() -> dict:
     runner = ExperimentRunner(scale=SCALE)
-    plan = list(experiments.figure_plan(list(experiments.FIGURES), runner))
     return {_label(spec): runner._content_key(runner.resolve(spec))
-            for spec in plan + list(EXTRA)}
+            for spec in _plan(runner) + list(EXTRA)}
 
 
-def _metrics() -> dict:
-    runner = ExperimentRunner(scale=SCALE)
-    plan = list(experiments.figure_plan(list(experiments.FIGURES), runner))
+def _metrics(runner) -> dict:
     out = {}
-    for spec in plan + list(EXTRA):
+    for spec in _plan(runner) + list(EXTRA):
         metrics = runner.run_spec(spec).metrics
         blob = json.dumps(dataclasses.asdict(metrics), sort_keys=True)
         out[_label(spec)] = {
@@ -79,6 +96,48 @@ def _metrics() -> dict:
             "warp_execution_efficiency": metrics.warp_execution_efficiency,
         }
     return out
+
+
+def _render_figures(runner) -> str:
+    """Every figure's text without its ``[``-prefixed provenance lines,
+    which carry wall times."""
+    text = "\n".join(experiments.FIGURES[fig].main(runner)
+                     for fig in experiments.FIGURES)
+    return "\n".join(line for line in text.splitlines()
+                     if not line.startswith("["))
+
+
+def _record(mp, owner, attr: str, calls: dict) -> None:
+    """Rebind ``owner.attr`` to note each call's first argument (its
+    keywords when it has none) in ``calls[attr]``."""
+    original = getattr(owner, attr)
+
+    def recording(*args, **kwargs):
+        calls[attr].append(args[0] if args else kwargs)
+        return original(*args, **kwargs)
+    mp.setattr(owner, attr, recording)
+
+
+@pytest.fixture(scope="module")
+def plan_store(tmp_path_factory):
+    """The figure plan and the extras executed once, cold, into a store
+    under the pinned version: the runs the metrics fixture pins, the
+    content keys the cold prefetch computed, the rendered figures, and
+    the store a warm regeneration reads."""
+    calls = defaultdict(list)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repro, "__version__", PINNED_VERSION)
+        store = ResultStore(tmp_path_factory.mktemp("plan-store"))
+        runner = ExperimentRunner(scale=SCALE, store=store,
+                                  training_log=False)
+        _record(mp, runner_module, "run_key", calls)
+        stats = runner.prefetch(_plan(runner), jobs=1)
+        cold = {"executed": stats.executed,
+                "run_keys": len(calls["run_key"])}
+        metrics = _metrics(runner)
+        text = _render_figures(runner)
+    return SimpleNamespace(store=store, cold=cold, metrics=metrics,
+                           text=text)
 
 
 def _render(keys: dict) -> str:
@@ -99,9 +158,8 @@ def test_fixture_covers_the_plan():
     assert len(set(keys.values())) == 144 + 5
 
 
-def test_plan_metrics_are_pinned(monkeypatch):
-    monkeypatch.setattr(repro, "__version__", PINNED_VERSION)
-    assert _metrics() == json.loads(METRICS_FIXTURE.read_text())
+def test_plan_metrics_are_pinned(plan_store):
+    assert plan_store.metrics == json.loads(METRICS_FIXTURE.read_text())
 
 
 def test_metrics_fixture_matches_the_key_fixture():
@@ -109,3 +167,106 @@ def test_metrics_fixture_matches_the_key_fixture():
     metrics = json.loads(METRICS_FIXTURE.read_text())
     assert list(metrics) == list(keys)
     assert {label: m["key"] for label, m in metrics.items()} == keys
+
+
+class TestWarmPath:
+    """What one fresh runner pays to identify the figure plan's runs in a
+    filled store. Before the memos a warm regeneration made 290
+    ``asdict`` calls, 586 ``canonical`` calls for 268 distinct specs and
+    145 existence probes, and a cold prefetch computed 290 keys."""
+
+    def test_cold_prefetch_computes_each_key_once(self, plan_store):
+        """The lookup miss and the put after the execution share a key."""
+        assert plan_store.cold == {"executed": 145, "run_keys": 145}
+
+    def test_warm_regeneration_derives_each_identity_once(
+            self, plan_store, monkeypatch):
+        monkeypatch.setattr(repro, "__version__", PINNED_VERSION)
+        # the process has serialized its configs (the cold fill did)
+        config_dict(DEFAULT_COST_MODEL)
+        config_dict(K20C)
+        calls = defaultdict(list)
+        _record(monkeypatch, dataclasses, "asdict", calls)
+        _record(monkeypatch, RunSpec, "canonical", calls)
+        _record(monkeypatch, ResultStore, "get", calls)
+        _record(monkeypatch, Path, "exists", calls)
+        runner = ExperimentRunner(scale=SCALE, store=plan_store.store,
+                                  training_log=False)
+        runner.prefetch(_plan(runner), jobs=1)
+        text = _render_figures(runner)
+        assert runner.stats.executed == 0
+        assert runner.stats.disk_hits == 145
+        assert text == plan_store.text
+        assert calls["asdict"] == []
+        specs = calls["canonical"]
+        assert len(specs) == len(set(specs)) == 268
+        assert len(calls["get"]) == 145
+        assert calls["exists"] == []
+
+
+#: inputs of a direct run_key / tuned_key call the memo tests pin
+DIRECT = dict(app="sssp", variant="block-level", allocator="custom",
+              config=None, dataset_fp="0" * 64, spec=K20C, threshold=8,
+              verify=True, version="1.0")
+TUNED = dict(app="sssp", objective="cycles", spec=K20C, scale=SCALE,
+             verify=True, version="1.0")
+
+#: (DRAM transaction cycles, run_key, runner key at the pinned version
+#: and fixture scale, tuned_key, cost_fingerprint) -- ``80`` and
+#: ``80.0`` make equal, hash-equal cost models that serialize apart.
+#: Generated before any of the memos existed.
+SPELLINGS = [
+    (80,
+     "27464b9ba8b2de90ce431da0613add02153d0984408304c31cb01be74c261fd1",
+     "3bfb75e010dfb4802e4014afaea64a350900d39dbbd4ce937641b7bb232179e4",
+     "30d322b7ae3951db1f249cba72bcd887225616b63d3cd1398ef95c396843f9a8",
+     "b466615db912"),
+    (80.0,
+     "13392adab4049a94190e7a067a66ba70e4015899173e645987100cefa90089b6",
+     "ccc83d79775e95f403f5d490449b3be97ca511937c02c7cb43027a7944ba5202",
+     "2314865a492053617e6eb6aee2c575cda0f1b13744ba9520c3c0e14e5626ca70",
+     "518ee8255e1e"),
+]
+
+
+class TestMemosKeepKeys:
+    @pytest.mark.parametrize("order", [SPELLINGS, SPELLINGS[::-1]],
+                             ids=["int-first", "float-first"])
+    def test_equal_cost_spellings_keep_their_keys(self, order, monkeypatch):
+        """Each spelling keeps its own key whichever one this process
+        (and this runner) met first."""
+        monkeypatch.setattr(repro, "__version__", PINNED_VERSION)
+        runner = ExperimentRunner(scale=SCALE)
+        for cycles, direct, by_runner, tuned, fingerprint in order:
+            cost = DEFAULT_COST_MODEL.scaled(dram_transaction_cycles=cycles)
+            spec = RunSpec("sssp", "block-level", cost=cost)
+            for _ in range(2):  # computed, then served by the memos
+                assert run_key(**DIRECT, cost=cost) == direct
+                assert runner._content_key(runner.resolve(spec)) == \
+                    by_runner
+                assert tuned_key(**TUNED, cost=cost) == tuned
+                assert cost_fingerprint(cost) == fingerprint
+
+    def test_tuned_key_and_cost_fingerprint_are_pinned(self):
+        """A drift would orphan every tuned-registry entry and every
+        training-log row."""
+        assert tuned_key(**TUNED, cost=DEFAULT_COST_MODEL) == (
+            "b2238ec8bc8797df95145e09f9d03e797b58b326ef3be9a4e4b6f714e5c2ac71")
+        assert tuned_key(**TUNED, cost=DEFAULT_COST_MODEL,
+                         workload="kron") == (
+            "258f3ef438e90a1e96f1783feafcedb056188097095008a5dd795a1cde677018")
+        assert cost_fingerprint(DEFAULT_COST_MODEL) == "21c30a47be8c"
+
+    def test_serializer_hands_out_copies(self):
+        first = config_dict(DEFAULT_COST_MODEL)
+        first["dram_transaction_cycles"] = -1
+        assert config_dict(DEFAULT_COST_MODEL) == \
+            dataclasses.asdict(DEFAULT_COST_MODEL)
+
+    def test_serializer_memo_is_bounded(self):
+        size = store_module.CONFIG_MEMO_SIZE
+        models = [DEFAULT_COST_MODEL.scaled(atomic_cycles=i)
+                  for i in range(size + 8)]
+        for model in models:
+            assert config_dict(model) == dataclasses.asdict(model)
+        assert len(store_module._config_dicts) == size

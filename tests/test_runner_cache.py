@@ -294,6 +294,8 @@ class TestRegisteredDatasets:
         runner.register_dataset("sssp", "other", small)
         first = runner.run("sssp", "basic-dp", dataset="d")
         kept = runner.run("sssp", "basic-dp", dataset="other")
+        spec = runner.resolve(RunSpec("sssp", "basic-dp", dataset="d"))
+        old_key = runner._content_key(spec)
         runner.register_dataset("sssp", "d", large)
         second = runner.run("sssp", "basic-dp", dataset="d")
         assert runner.stats.executed == 3
@@ -301,6 +303,49 @@ class TestRegisteredDatasets:
         assert len(second.result) == large.num_nodes != small.num_nodes
         assert second.checked
         assert runner.run("sssp", "basic-dp", dataset="other") is kept
+        # the memoized key went with the dataset it addressed
+        fresh = ExperimentRunner(scale=SCALE)
+        fresh.register_dataset("sssp", "d", large)
+        assert runner._content_key(spec) == \
+            fresh._content_key(fresh.resolve(spec)) != old_key
+
+
+class TestIdentityMemos:
+    """A runner memoizes each spec's resolution and each resolved spec's
+    content key for its own lifetime (DESIGN.md §8)."""
+
+    def test_tuned_spec_follows_the_registry(self, tmp_path):
+        """A 'tuned' spec is resolved afresh each time: re-tuning under a
+        live runner changes what it runs."""
+        from repro import __version__
+        from repro.tuning import TunedConfig, TunedConfigRegistry
+        from repro.tuning.registry import tuned_key
+        from repro.tuning.space import Candidate
+
+        registry = TunedConfigRegistry(tmp_path / "tuned.json")
+        runner = ExperimentRunner(scale=SCALE, tuned=registry)
+        key = tuned_key(app="sssp", objective="cycles", spec=runner.spec,
+                        cost=runner.cost, scale=SCALE, verify=True,
+                        version=__version__)
+        spec = RunSpec("sssp", "tuned")
+        for strategy, threshold, variant in (("warp", 2, "warp-level"),
+                                             ("grid", 4, "grid-level")):
+            registry.put(key, TunedConfig(
+                app="sssp", objective="cycles",
+                candidate=Candidate(strategy=strategy, threshold=threshold),
+                value=1.0, baseline_value=2.0, algorithm="grid",
+                evaluations=1, scale=SCALE, device=K20C.name,
+                version=__version__))
+            resolved = runner.resolve(spec)
+            assert (resolved.variant, resolved.threshold) == \
+                (variant, threshold)
+
+    def test_trim_memory_empties_the_memos(self):
+        runner = ExperimentRunner(scale=SCALE)
+        runner._content_key(runner.resolve(RunSpec("spmv", "grid-level")))
+        assert runner._resolutions and runner._keys
+        runner.trim_memory()
+        assert not runner._resolutions and not runner._keys
 
 
 class TestWorkPlans:
