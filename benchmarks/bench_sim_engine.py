@@ -13,11 +13,12 @@ would be timing two different computations):
 * **slice** — the round bookkeeping hot path, replayed: a recorded
   stream of uniform load/store rounds (default width: one full block's
   worth of lockstep lanes, i.e. 32 warps executing the same round) is
-  processed once through the scalar engine's per-event loop (its actual
+  applied once through the round loop's per-event path (its actual
   helpers — ``DeviceArray.load/store/addr_of``, :func:`coalesce_round`,
-  ``MemorySystem.access_segments``) and once through the vectorized
-  engine's array core (:func:`segment_probe_order` + NumPy
-  gather/scatter, the body of ``_batch_loads``/``_batch_stores``).
+  ``MemorySystem.access_segments``), which the scalar engine takes for
+  every round, and once through the vectorized engine's batched hook
+  core (:func:`segment_probe_order` + NumPy gather/scatter, the body of
+  ``_batch_loads``/``_batch_stores``).
   Cycles, L2 hit/miss counters, DRAM transactions, lane values and
   final array contents must all be identical; the speedup on this
   slice is the >=10x target.
@@ -112,9 +113,10 @@ def _fresh_path(n: int):
 
 
 def _replay_scalar(stream, arr, mem, cost, seg_bytes):
-    """Line-faithful to FunctionalEngine's sequential round handling:
-    per-event load/store, (addr, itemsize) access list, coalesce_round,
-    one access_segments call per round. Event tuples are prebuilt so
+    """Line-faithful to the round loop's per-event path
+    (``FunctionalEngine._run_warp``): per-event load/store, (addr,
+    itemsize) access list, coalesce_round, one access_segments call per
+    round. Event tuples are prebuilt so
     the timed region covers processing only (the live engine receives
     them from kernel generators)."""
     rounds = []
@@ -142,10 +144,10 @@ def _replay_scalar(stream, arr, mem, cost, seg_bytes):
 
 
 def _replay_vectorized(stream, arr, mem, cost, seg_bytes):
-    """The batched array processor: the engine's round core
-    (:func:`segment_probe_order` + NumPy gather/scatter, the body of
-    ``_batch_loads``/``_batch_stores``) driven straight from the
-    recorded arrays."""
+    """The batched array processor: the vectorized engine's
+    ``_apply_batched`` core (:func:`segment_probe_order` + NumPy
+    gather/scatter, the body of ``_batch_loads``/``_batch_stores``)
+    driven straight from the recorded arrays."""
     pending = [None] * max(len(idxs) for _, idxs, _ in stream)
     data = arr.data
     base_addr, offset, itemsize = arr.base_addr, arr.offset, arr.itemsize

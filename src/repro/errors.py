@@ -70,6 +70,10 @@ class SimulationError(ReproError):
     """Raised by the GPU simulator for violations of device limits or
     internal inconsistencies (e.g. exceeding the DP nesting depth)."""
 
+    #: the innermost kernel whose execution raised this error; the
+    #: engine sets it once, prefixing the message ``kernel <name>: ``
+    kernel = None
+
 
 class LaunchError(SimulationError):
     """Raised for invalid kernel launch configurations."""

@@ -21,15 +21,13 @@ expose torn files. Unreadable entries are treated as misses and removed.
 
 Writes land in **shard directories** (``shard-NN/``, NN derived from the
 content address), so the N concurrent writers of an experiment service
-(:mod:`repro.service`) spread directory-entry churn across ``shards``
+(:mod:`repro.service`) spread directory-entry churn across 16
 independent directories instead of contending on one. Reads remain
 transparently compatible with the pre-shard flat layout
 (``<key[:2]>/<key>.pkl``): a lookup opens the computed shard path
-directly and only when that is absent tries the legacy path, then every
-shard directory (covering stores written with a different shard count)
-— and the first ``put`` of a key migrates its legacy entry into the
-shard layout, so mixed-layout stores converge without a rewrite pass.
-See DESIGN.md §13.
+directly and only when that is absent tries the legacy path — and the
+first ``put`` of a key removes its legacy entry, so mixed-layout stores
+converge without a rewrite pass. See DESIGN.md §13.
 """
 
 from __future__ import annotations
@@ -53,24 +51,6 @@ STORE_FORMAT = 2
 
 #: environment variable overriding the default cache directory
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: default number of shard directories new entries are spread across
-DEFAULT_SHARDS = 16
-
-#: environment variable overriding the shard count
-SHARDS_ENV = "REPRO_STORE_SHARDS"
-
-
-def default_shards() -> int:
-    """``$REPRO_STORE_SHARDS``, else :data:`DEFAULT_SHARDS`."""
-    env = os.environ.get(SHARDS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_SHARDS
-
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR``, else ``~/.cache/repro-wulb16``."""
@@ -198,19 +178,21 @@ class ResultStore:
     not exist yet, lookups against an empty cache) simply report an
     empty store instead of touching the filesystem or raising.
 
-    New entries are spread across ``shards`` shard directories
+    New entries are spread across :attr:`shards` shard directories
     (``shard-NN/``); lookups additionally fall back to the pre-shard
-    flat layout (``<key[:2]>/``) and to shard directories written under
-    a different shard count, so any mix of layouts reads as one store.
+    flat layout (``<key[:2]>/``), so both layouts read as one store.
     """
+
+    #: shard directories new entries are spread across; one count for
+    #: every store, so a key has exactly one shard path
+    shards = 16
 
     #: glob pattern matching flat-layout (pre-shard) subdirectories —
     #: two hex characters, the first bytes of the content address
     _LEGACY_GLOB = "[0-9a-f][0-9a-f]"
 
-    def __init__(self, root: Path | str, shards: Optional[int] = None):
+    def __init__(self, root: Path | str):
         self.root = Path(root)
-        self.shards = shards if shards is not None else default_shards()
 
     # -- layout ----------------------------------------------------------------
 
@@ -227,22 +209,14 @@ class ResultStore:
         return self.root / key[:2] / f"{key}.pkl"
 
     def _locate(self, key: str) -> Optional[Path]:
-        """The on-disk path currently holding a key, or None.
-
-        Checks the computed shard, then the flat legacy layout, then —
-        for stores written under a different shard count — every shard
-        directory (one readdir; :meth:`get` comes here only on a miss
-        at the computed shard, and misses are followed by a simulation,
-        which dwarfs it).
-        """
+        """The on-disk path currently holding a key, or None: its shard
+        path, else its flat legacy path."""
         path = self.path_for(key)
         if path.exists():
             return path
         legacy = self._legacy_path(key)
         if legacy.exists():
             return legacy
-        for other in self.root.glob(f"shard-*/{key}.pkl"):
-            return other
         return None
 
     def get(self, key: str):
@@ -250,7 +224,7 @@ class ResultStore:
 
         Opens the computed shard path without probing it first; only
         when it is absent does the lookup fall back on :meth:`_locate`
-        (the legacy layout, other shard counts)."""
+        (the legacy layout)."""
         try:
             return self._load(self.path_for(key))
         except FileNotFoundError:
@@ -260,7 +234,7 @@ class ResultStore:
             return None
         try:
             return self._load(path)
-        except FileNotFoundError:  # a concurrent migration moved it
+        except FileNotFoundError:  # a concurrent migration removed it
             return None
 
     @staticmethod
@@ -294,28 +268,13 @@ class ResultStore:
             except OSError:
                 pass
             raise
-        # migrate-on-write: a rewritten key must not leave stale copies
-        # behind in the flat layout or in a shard computed under a
-        # different shard count — either would double-count the entry.
-        # Only copies measurably *older* than this write are removed: a
-        # concurrent writer configured with a different shard count
-        # lands the same key milliseconds apart, and unlinking its
-        # fresh copy symmetrically could drop the key from disk
-        # entirely. Same-age duplicates are left for a later rewrite to
-        # collect (they hold identical deterministic content).
+        # migrate-on-write: a rewritten key must not leave a copy behind
+        # in the flat layout, which would double-count the entry (no
+        # writer of this layout creates one, so no fresh copy is lost)
         try:
-            own_mtime = path.stat().st_mtime
+            self._legacy_path(key).unlink()
         except OSError:
-            return
-        for stale in (self._legacy_path(key),
-                      *self.root.glob(f"shard-*/{key}.pkl")):
-            if stale == path:
-                continue
-            try:
-                if stale.stat().st_mtime < own_mtime - 1.0:
-                    stale.unlink()
-            except OSError:
-                pass
+            pass
 
     def __contains__(self, key: str) -> bool:
         return self._locate(key) is not None
@@ -325,9 +284,9 @@ class ResultStore:
                 + list(self.root.glob(f"{self._LEGACY_GLOB}/*.pkl")))
 
     def shard_info(self) -> dict:
-        """Layout summary for ``repro cache info``: configured shard
-        count, how many shard directories hold entries, and how many
-        entries still sit in the flat legacy layout."""
+        """Layout summary for ``repro cache info``: the shard count, how
+        many shard directories hold entries, and how many entries still
+        sit in the flat legacy layout."""
         sharded = list(self.root.glob("shard-*/*.pkl"))
         legacy = list(self.root.glob(f"{self._LEGACY_GLOB}/*.pkl"))
         return {
@@ -347,7 +306,7 @@ class ResultStore:
                 total += p.stat().st_size
             except OSError:
                 # racing a writer whose migrate-on-write just unlinked
-                # this copy; the entry lives on at its new path
+                # this legacy copy; the entry lives on at its shard path
                 pass
         return total
 

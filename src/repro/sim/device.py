@@ -116,13 +116,8 @@ class Device:
             raise SimulationError(
                 f"unknown sim engine {engine!r}; "
                 f"available: {', '.join(sorted(ENGINES))}")
-        extra = {"dp": self.dp} if engine_cls is VectorizedEngine else {}
-        self.engine = engine_cls(
-            spec, cost, self.memsys, self.kernels,
-            intrinsic_handler=self.dp.handle_intrinsic,
-            on_launch=self._on_device_launch,
-            **extra,
-        )
+        self.engine = engine_cls(spec, cost, self.memsys, self.kernels,
+                                 dp=self.dp, on_launch=self._on_device_launch)
         # deep profiling (repro.perf): a collector bound via
         # ``profiling()`` when this device is constructed attaches to
         # the engine and DP runtime. Observational only — the engines
@@ -183,13 +178,14 @@ class Device:
         self._all_roots.append(inst)
 
     def _validate_config(self, name: str, grid: int, block: int) -> None:
+        # a device launch's error is prefixed with the launching kernel
         if grid <= 0 or block <= 0:
             raise LaunchError(
-                f"kernel {name}: invalid configuration <<<{grid}, {block}>>>"
+                f"launch of {name}: invalid configuration <<<{grid}, {block}>>>"
             )
         if block > self.spec.max_threads_per_block:
             raise LaunchError(
-                f"kernel {name}: {block} threads/block exceeds the device "
+                f"launch of {name}: {block} threads/block exceeds the device "
                 f"limit of {self.spec.max_threads_per_block}"
             )
 
@@ -212,7 +208,7 @@ class Device:
         depth = parent.depth + 1
         if depth > self.spec.max_nesting_depth:
             raise LaunchError(
-                f"kernel {name}: dynamic-parallelism nesting depth {depth} "
+                f"dynamic-parallelism nesting depth {depth} "
                 f"exceeds the device limit of {self.spec.max_nesting_depth}"
             )
         self._validate_config(name, grid, block)

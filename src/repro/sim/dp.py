@@ -385,7 +385,7 @@ class DPRuntime:
         self.stats.barrier_arrivals += 1
         if remaining < 0:
             raise SimulationError(
-                f"grid barrier of kernel {inst.name}: more arrivals than blocks"
+                "grid barrier: more arrivals than blocks"
             )
         return (1 if remaining == 0 else 0), self.cost.global_barrier_cycles
 

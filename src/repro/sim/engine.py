@@ -23,6 +23,7 @@ monotonic atomics or level-synchronized phases (see DESIGN.md §7).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -120,21 +121,25 @@ class FunctionalEngine:
 
     ``kernels``          name -> compiled generator function
     ``memory_system``    L2/DRAM accounting (:class:`MemorySystem`)
-    ``intrinsic_handler``callable(name, args, ThreadView) -> (value, cycles)
+    ``dp``               the device's :class:`~repro.sim.dp.DPRuntime`,
+                         which answers ``__dp_*`` intrinsic events
     ``on_launch``        callable(parent_instance, name, grid, block, args)
                          -> KernelInstance (performs depth/config checks)
+
+    This is the scalar reference: its :meth:`_apply_batched` hook takes
+    no round, so every event goes through the per-event handling that
+    the batched fast paths of
+    :class:`~repro.sim.engine_vec.VectorizedEngine` are held to.
     """
 
-    def __init__(self, spec, cost, memory_system, kernels: dict,
-                 intrinsic_handler: Callable, on_launch: Callable):
+    def __init__(self, spec, cost, memory_system, kernels: dict, dp,
+                 on_launch: Callable):
         self.spec = spec
         self.cost = cost
         self.mem = memory_system
         self.kernels = kernels
-        self.intrinsic_handler = intrinsic_handler
+        self.dp = dp
         self.on_launch = on_launch
-        #: per-run cap on functionally executed kernel instances
-        self.max_instances = 2_000_000
         #: deep-profiling collector (:mod:`repro.perf.collect`); wired by
         #: the Device when profiling is active, else None. Purely
         #: observational — it records counter deltas the engine already
@@ -154,8 +159,6 @@ class FunctionalEngine:
         visits — artificially deep and overflow the 24-level DP nesting
         limit that real runs never hit.)
         """
-        from collections import deque
-
         # coarse tracing split: the root kernel's own rounds (including
         # device-synced children, which run inside _consume_devsync),
         # then the FIFO drain of fire-and-forget DP descendants. The
@@ -173,27 +176,12 @@ class FunctionalEngine:
                 sp.set(launches=drained)
 
     def _run_tree(self, roots: list[KernelInstance]) -> None:
-        from collections import deque
-
         queue = deque(roots)
         while queue:
             inst = queue.popleft()
             self._run_blocks(inst, queue)
 
     def _run_blocks(self, inst: KernelInstance, queue) -> None:
-        fn = self.kernels.get(inst.name)
-        if fn is None:
-            raise SimulationError(f"launch of unknown kernel {inst.name!r}")
-        if inst.grid <= 0 or inst.block_dim <= 0:
-            raise SimulationError(
-                f"kernel {inst.name}: empty launch configuration "
-                f"<<<{inst.grid}, {inst.block_dim}>>>"
-            )
-        if inst.block_dim > self.spec.max_threads_per_block:
-            raise SimulationError(
-                f"kernel {inst.name}: block of {inst.block_dim} threads exceeds "
-                f"device limit {self.spec.max_threads_per_block}"
-            )
         prof = self.profiler
         if prof is not None:
             # devsync children execute inside this bracket (via
@@ -201,6 +189,19 @@ class FunctionalEngine:
             # their rounds attribute to the child, not the parent
             prof.enter(inst)
         try:
+            fn = self.kernels.get(inst.name)
+            if fn is None:
+                raise SimulationError("not loaded on this device")
+            if inst.grid <= 0 or inst.block_dim <= 0:
+                raise SimulationError(
+                    f"empty launch configuration "
+                    f"<<<{inst.grid}, {inst.block_dim}>>>"
+                )
+            if inst.block_dim > self.spec.max_threads_per_block:
+                raise SimulationError(
+                    f"block of {inst.block_dim} threads exceeds device "
+                    f"limit {self.spec.max_threads_per_block}"
+                )
             for bx in range(inst.grid):
                 trace, leftover = self._run_block(inst, fn, bx)
                 inst.blocks.append(trace)
@@ -208,6 +209,13 @@ class FunctionalEngine:
                 # FIFO queue (implicit join at parent end still holds for the
                 # *timing* model via the instance tree)
                 queue.extend(leftover)
+        except SimulationError as exc:
+            # name the innermost failing kernel, once: a device-synced
+            # child's error crosses its parent's frame already named
+            if exc.kernel is None:
+                exc.kernel = inst.name
+                exc.args = (f"kernel {inst.name}: {exc}",)
+            raise
         finally:
             if prof is not None:
                 prof.exit()
@@ -270,7 +278,7 @@ class FunctionalEngine:
                 progressed = True
             if not progressed:
                 raise SimulationError(
-                    f"deadlock in kernel {inst.name} block {bx}: "
+                    f"deadlock in block {bx}: "
                     f"{barrier_waiters} warps at barrier, {done_warps} done"
                 )
 
@@ -286,6 +294,12 @@ class FunctionalEngine:
     def _run_warp(self, warp: _Warp, inst, trace, block_pending) -> str:
         """Advance one warp until it blocks, finishes, or requests devsync.
 
+        Each round first advances every live lane to its next event
+        (gather), then applies the gathered events in lane order: all at
+        once when :meth:`_apply_batched` takes the round, else one by one
+        below. Gathering first is exact because kernel code between
+        yields touches device state only through events (DESIGN.md §15).
+
         Returns 'progress' | 'barrier' | 'done' | 'devsync'.
         """
         states = warp.states
@@ -294,12 +308,18 @@ class FunctionalEngine:
         ctxs = warp.ctxs
         mem = self.mem
         cost = self.cost
+        dp = self.dp
+        apply_batched = self._apply_batched
         seg_bytes = self.spec.dram_segment_bytes
         prof = self.profiler
         made_progress = False
 
+        # the live-lane list changes only when a lane's state does (done,
+        # barrier arrival, reconvergence) — keep it across rounds
+        live: list = None
         while True:
-            live = [i for i, st in enumerate(states) if st == _RUNNING]
+            if live is None:
+                live = [i for i, st in enumerate(states) if st == _RUNNING]
             if not live:
                 # warp-scoped reconvergence: release lanes waiting at a
                 # __syncwarp once no lane can run ahead of it
@@ -310,84 +330,106 @@ class FunctionalEngine:
                         released = True
                 if released:
                     made_progress = True
+                    live = None
                     continue
                 if any(st == _AT_BARRIER for st in states):
                     return "barrier" if not made_progress else "progress"
                 return "done"
-            accesses: list[tuple[int, int]] = []  # (addr, itemsize)
-            atomics: dict[int, int] = {}
-            extra_cycles = 0
-            extra_steps = 0
-            devsync_requested = False
-            active = 0
-            op0 = -1  # profiling only: -1 unset, -2 mixed, else the opcode
+
+            # --- gather: advance every live lane to its next event --------
+            lanes: list[int] = []
+            events: list[tuple] = []
+            add_lane = lanes.append
+            add_event = events.append
+            dirty = False
+            op0 = -1  # the round's opcode: -1 unset, -2 mixed
+            for i in live:
+                try:
+                    ev = threads[i].send(pending[i])
+                except StopIteration:
+                    states[i] = _DONE
+                    dirty = True
+                    continue
+                pending[i] = None
+                add_lane(i)
+                add_event(ev)
+                op = ev[0]
+                if op != op0 and op0 != -2:
+                    op0 = op if op0 == -1 else -2
+            active = len(lanes)
+            if active == 0:
+                # all live lanes hit a barrier simultaneously or finished
+                live = None
+                continue
+            made_progress = True
             if prof is not None:
                 ctr = mem.counters
                 dram0 = ctr.dram_transactions
                 hits0 = ctr.l2_hits
                 miss0 = ctr.l2_misses
-            for i in live:
-                gen = threads[i]
-                try:
-                    ev = gen.send(pending[i])
-                except StopIteration:
-                    states[i] = _DONE
-                    continue
-                pending[i] = None
-                active += 1
-                op = ev[0]
-                if prof is not None and op != op0 and op0 != -2:
-                    op0 = op if op0 == -1 else -2
-                if op == LD:
-                    arr = ev[1]
-                    idx = ev[2]
-                    pending[i] = arr.load(idx)
-                    accesses.append((arr.addr_of(idx), arr.itemsize))
-                elif op == ST:
-                    arr = ev[1]
-                    idx = ev[2]
-                    arr.store(idx, ev[3])
-                    accesses.append((arr.addr_of(idx), arr.itemsize))
-                elif op == ATOM:
-                    pending[i] = self._do_atomic(ev)
-                    addr = ev[2].addr_of(ev[3])
-                    atomics[addr] = atomics.get(addr, 0) + 1
-                    accesses.append((addr, ev[2].itemsize))
-                elif op == SYNC:
-                    states[i] = _AT_BARRIER
-                elif op == WSYNC:
-                    states[i] = _AT_WARP_BARRIER
-                elif op == LAUNCH:
-                    child = self.on_launch(inst, ev[1], ev[2], ev[3], ev[4])
-                    block_pending.append(child)
-                    trace.launches.append(LaunchRecord(
-                        segment=len(trace.segments),
-                        offset_cycles=warp.cycles,
-                        child=child,
-                    ))
-                    extra_cycles += cost.launch_uops * cost.cycles_per_warp_step
-                    extra_steps += cost.launch_uops
-                elif op == DEVSYNC:
-                    devsync_requested = True
-                elif op == INTR:
-                    value, cycles = self.intrinsic_handler(ev[1], ev[2],
-                                                           inst, ctxs[i])
-                    pending[i] = value
-                    extra_cycles += cycles
-                else:  # pragma: no cover - defensive
-                    raise SimulationError(f"unknown event opcode {op}")
-            if active == 0:
-                # all live lanes hit a barrier simultaneously or finished
-                continue
-            made_progress = True
-            # --- price the round ------------------------------------------
-            round_cycles = cost.cycles_per_warp_step
-            if accesses:
-                segments = coalesce_round(accesses, seg_bytes)
-                round_cycles += mem.access_segments(segments)
-            if atomics:
-                worst_conflict = max(atomics.values())
-                round_cycles += cost.atomic_cycles * worst_conflict
+
+            # --- apply, in lane order --------------------------------------
+            extra_steps = 0
+            devsync_requested = False
+            cycles = apply_batched(op0, lanes, events, pending)
+            batched = cycles is not None
+            if not batched:
+                accesses: list[tuple[int, int]] = []  # (addr, itemsize)
+                atomics: dict[int, int] = {}
+                extra_cycles = 0
+                for i, ev in zip(lanes, events):
+                    op = ev[0]
+                    if op == LD:
+                        arr = ev[1]
+                        idx = ev[2]
+                        pending[i] = arr.load(idx)
+                        accesses.append((arr.addr_of(idx), arr.itemsize))
+                    elif op == ST:
+                        arr = ev[1]
+                        idx = ev[2]
+                        arr.store(idx, ev[3])
+                        accesses.append((arr.addr_of(idx), arr.itemsize))
+                    elif op == ATOM:
+                        pending[i] = self._do_atomic(ev)
+                        addr = ev[2].addr_of(ev[3])
+                        atomics[addr] = atomics.get(addr, 0) + 1
+                        accesses.append((addr, ev[2].itemsize))
+                    elif op == SYNC:
+                        states[i] = _AT_BARRIER
+                        dirty = True
+                    elif op == WSYNC:
+                        states[i] = _AT_WARP_BARRIER
+                        dirty = True
+                    elif op == LAUNCH:
+                        child = self.on_launch(inst, ev[1], ev[2], ev[3],
+                                               ev[4])
+                        block_pending.append(child)
+                        trace.launches.append(LaunchRecord(
+                            segment=len(trace.segments),
+                            offset_cycles=warp.cycles,
+                            child=child,
+                        ))
+                        extra_cycles += (cost.launch_uops
+                                         * cost.cycles_per_warp_step)
+                        extra_steps += cost.launch_uops
+                    elif op == DEVSYNC:
+                        devsync_requested = True
+                    elif op == INTR:
+                        value, intr_cycles = dp.handle_intrinsic(
+                            ev[1], ev[2], inst, ctxs[i])
+                        pending[i] = value
+                        extra_cycles += intr_cycles
+                    else:  # pragma: no cover - defensive
+                        raise SimulationError(f"unknown event opcode {op}")
+                # --- price the round ---------------------------------------
+                cycles = cost.cycles_per_warp_step
+                if accesses:
+                    cycles += mem.access_segments(
+                        coalesce_round(accesses, seg_bytes))
+                if atomics:
+                    worst_conflict = max(atomics.values())
+                    cycles += cost.atomic_cycles * worst_conflict
+                cycles += extra_cycles
             # fold per-thread compute cycles: take the max lane accumulator
             lane_extra = 0
             for i in live:
@@ -396,16 +438,27 @@ class FunctionalEngine:
                     if c > lane_extra:
                         lane_extra = c
                     ctxs[i].c = 0
-            warp.cycles += round_cycles + extra_cycles + lane_extra
+            warp.cycles += cycles + lane_extra
             warp.steps += 1 + extra_steps
             warp.active_steps += active + extra_steps
             if prof is not None:
                 prof.record_round(op0, active,
                                   ctr.dram_transactions - dram0,
                                   ctr.l2_hits - hits0,
-                                  ctr.l2_misses - miss0, False)
+                                  ctr.l2_misses - miss0, batched)
+            if dirty:
+                live = None
             if devsync_requested:
                 return "devsync"
+
+    def _apply_batched(self, op0: int, lanes: list, events: list,
+                       pending: list):
+        """Apply a round's events (parallel to ``lanes``, in lane order;
+        ``op0`` their opcode, -2 if mixed) at once, storing each lane's
+        result in ``pending``. Returns the round's cycles without
+        per-lane compute, or None to leave the round to the per-event
+        path — always, in this scalar reference."""
+        return None
 
     def _do_atomic(self, ev):
         op = ev[1]

@@ -1,25 +1,19 @@
-"""Vectorized SIMT engine: batched warp-round bookkeeping.
+"""Vectorized SIMT engine: batched warp rounds.
 
-:class:`VectorizedEngine` executes the *same* canonical schedule as
-:class:`~repro.sim.engine.FunctionalEngine` (blocks sequential, warps to
-their blocking point in index order, lanes in lockstep rounds) but
-replaces the per-lane Python bookkeeping of the hot round loop with
-NumPy array operations, the way PR 4 vectorized ``kron_like``:
-byte-identical outputs, measured speedup (``benchmarks/bench_sim_engine.py``).
+:class:`VectorizedEngine` runs the scalar engine's one round loop
+(:meth:`~repro.sim.engine.FunctionalEngine._run_warp`: blocks
+sequential, warps to their blocking point in index order, lanes in
+lockstep rounds) and overrides only its ``_apply_batched`` hook, which
+applies a uniform round's gathered events with NumPy array operations:
+byte-identical outputs, measured speedup
+(``benchmarks/bench_sim_engine.py``).
 
 Equivalence argument (DESIGN.md §15 carries the long form):
 
-1. **Gather-then-process.** The scalar engine interleaves "advance lane
-   *i* to its next yield" with "apply lane *i*'s event". This engine
-   first advances *every* live lane (gather), then applies the gathered
-   events in lane order. The two are equivalent because kernel code
-   between yields cannot observe event effects: generated kernels touch
-   global arrays, consolidation buffers and launch state **only through
-   yielded events**; the only state they read inline (shared-memory
-   lists, the per-thread cycle accumulator ``ctx.c``) is never written
-   by event processing. Applying events in lane order preserves every
-   same-round cross-lane dependency (a lane-0 store feeding a lane-1
-   load, atomic read-modify-write chains on one address).
+1. **Gather-then-apply.** The round loop advances every live lane to
+   its next event, then applies the events in lane order; a batch must
+   leave what lane-order application would (the loop's docstring says
+   why gathering first is exact).
 
 2. **Uniform-round fast paths.** Once gathered, a round whose events are
    all loads from one array (or all stores, or all pushes into one
@@ -28,7 +22,7 @@ Equivalence argument (DESIGN.md §15 carries the long form):
    Python scalars as per-element ``.item()``; batch stores rely on
    NumPy's last-write-wins for duplicate fancy indices, which matches
    lane order; conversion errors (C wraparound) and bounds violations
-   fall back to the sequential path so error semantics stay identical.
+   fall back to the per-event path so error semantics stay identical.
 
 3. **Order-preserving coalescing.** ``coalesce_round`` returns a
    ``set`` whose iteration order feeds the *stateful* LRU L2 — so the
@@ -44,23 +38,19 @@ Equivalence argument (DESIGN.md §15 carries the long form):
    that leaves the set's order unchanged.
 
 Rounds that are divergent (mixed opcodes), touch several arrays, or hit
-an edge case (bounds violation, integer overflow, buffer grow) take the
-sequential path, which is a line-for-line copy of the scalar engine's
-event handling.
+an edge case (bounds violation, integer overflow, buffer grow) are left
+to the round loop's per-event path, the one the scalar engine takes for
+every round, so error semantics cannot drift.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import SimulationError
-from .engine import (
-    FunctionalEngine, LaunchRecord, _AT_BARRIER, _AT_WARP_BARRIER, _DONE,
-    _RUNNING, coalesce_round,
-)
-from .events import ATOM, DEVSYNC, INTR, LAUNCH, LD, ST, SYNC, WSYNC
+from .engine import FunctionalEngine
+from .events import ATOM, INTR, LD, ST
 
-#: below this many events a round is processed sequentially — NumPy
+#: below this many events a round is applied event by event — NumPy
 #: call overhead beats the saving on tiny arrays (purely a performance
 #: cutoff; both paths are exact)
 _MIN_BATCH = 4
@@ -122,200 +112,42 @@ _BATCH_ATOMIC_OPS = frozenset(("add", "sub", "min", "max", "exch",
 
 
 class VectorizedEngine(FunctionalEngine):
-    """Drop-in engine with batched round bookkeeping.
+    """The scalar engine with batched uniform rounds: loads, stores and
+    duplicate-free atomics on one array as NumPy operations, and
+    consolidation-buffer pushes, reads and sizes on one buffer through
+    the device's :class:`~repro.sim.dp.DPRuntime`
+    (:meth:`~repro.sim.dp.DPRuntime.push_many` and friends)."""
 
-    ``dp`` (optional) is the device's :class:`~repro.sim.dp.DPRuntime`;
-    when provided *and* it owns ``intrinsic_handler``, uniform intrinsic
-    rounds (consolidation-buffer pushes/reads/sizes) are batched through
-    :meth:`~repro.sim.dp.DPRuntime.push_many` and friends.
-    """
-
-    def __init__(self, spec, cost, memory_system, kernels, intrinsic_handler,
-                 on_launch, dp=None):
-        super().__init__(spec, cost, memory_system, kernels,
-                         intrinsic_handler, on_launch)
-        # batch intrinsics only when the handler really is this runtime's
-        # (a custom handler could observe per-call ordering we'd elide)
-        self._dp = dp if (
-            dp is not None
-            and getattr(intrinsic_handler, "__self__", None) is dp
-        ) else None
-
-    # ------------------------------------------------------------ round loop
-
-    def _run_warp(self, warp, inst, trace, block_pending) -> str:
-        states = warp.states
-        threads = warp.threads
-        pending = warp.pending
-        ctxs = warp.ctxs
-        mem = self.mem
-        cost = self.cost
+    def _apply_batched(self, op0, lanes, events, pending):
+        if len(lanes) < _MIN_BATCH:
+            return None
+        step = self.cost.cycles_per_warp_step
         seg_bytes = self.spec.dram_segment_bytes
-        prof = self.profiler
-        made_progress = False
-
-        # the live-lane list changes only when a lane's state does (done,
-        # barrier arrival, reconvergence) — keep it across rounds instead
-        # of rescanning states every round like the scalar engine
-        live: list = None
-        while True:
-            if live is None:
-                live = [i for i, st in enumerate(states) if st == _RUNNING]
-            if not live:
-                released = False
-                for i, st in enumerate(states):
-                    if st == _AT_WARP_BARRIER:
-                        states[i] = _RUNNING
-                        released = True
-                if released:
-                    made_progress = True
-                    live = None
-                    continue
-                if any(st == _AT_BARRIER for st in states):
-                    return "barrier" if not made_progress else "progress"
-                return "done"
-
-            # --- gather: advance every live lane to its next event --------
-            lanes: list[int] = []
-            events: list[tuple] = []
-            add_lane = lanes.append
-            add_event = events.append
-            dirty = False
-            op0 = -1  # -1: unset, -2: mixed opcodes
-            for i in live:
-                try:
-                    ev = threads[i].send(pending[i])
-                except StopIteration:
-                    states[i] = _DONE
-                    dirty = True
-                    continue
-                pending[i] = None
-                add_lane(i)
-                add_event(ev)
-                op = ev[0]
-                if op != op0 and op0 != -2:
-                    op0 = op if op0 == -1 else -2
-            active = len(lanes)
-            if active == 0:
-                # all live lanes hit a barrier simultaneously or finished
-                live = None
-                continue
-            made_progress = True
-            if prof is not None:
-                ctr = mem.counters
-                dram0 = ctr.dram_transactions
-                hits0 = ctr.l2_hits
-                miss0 = ctr.l2_misses
-
-            # --- process: batched when the round is uniform ---------------
-            segments = None
-            atomics: dict[int, int] = {}
-            extra_cycles = 0
-            extra_steps = 0
-            devsync_requested = False
-            processed = False
-            if active >= _MIN_BATCH:
-                if op0 == LD:
-                    segments = self._batch_loads(lanes, events, pending,
-                                                 seg_bytes)
-                    processed = segments is not None
-                elif op0 == ST:
-                    segments = self._batch_stores(events, seg_bytes)
-                    processed = segments is not None
-                elif op0 == INTR and self._dp is not None:
-                    cycles = self._batch_intrinsics(lanes, events, pending)
-                    if cycles is not None:
-                        extra_cycles += cycles
-                        processed = True
-                elif op0 == ATOM:
-                    segments = self._batch_atomics(lanes, events, pending,
-                                                   seg_bytes)
-                    if segments is not None:
-                        # every address distinct: worst conflict degree 1
-                        atomics = {0: 1}
-                        processed = True
-            if not processed:
-                accesses: list[tuple[int, int]] = []
-                for i, ev in zip(lanes, events):
-                    op = ev[0]
-                    if op == LD:
-                        arr = ev[1]
-                        idx = ev[2]
-                        pending[i] = arr.load(idx)
-                        accesses.append((arr.addr_of(idx), arr.itemsize))
-                    elif op == ST:
-                        arr = ev[1]
-                        idx = ev[2]
-                        arr.store(idx, ev[3])
-                        accesses.append((arr.addr_of(idx), arr.itemsize))
-                    elif op == ATOM:
-                        pending[i] = self._do_atomic(ev)
-                        addr = ev[2].addr_of(ev[3])
-                        atomics[addr] = atomics.get(addr, 0) + 1
-                        accesses.append((addr, ev[2].itemsize))
-                    elif op == SYNC:
-                        states[i] = _AT_BARRIER
-                        dirty = True
-                    elif op == WSYNC:
-                        states[i] = _AT_WARP_BARRIER
-                        dirty = True
-                    elif op == LAUNCH:
-                        child = self.on_launch(inst, ev[1], ev[2], ev[3],
-                                               ev[4])
-                        block_pending.append(child)
-                        trace.launches.append(LaunchRecord(
-                            segment=len(trace.segments),
-                            offset_cycles=warp.cycles,
-                            child=child,
-                        ))
-                        extra_cycles += (cost.launch_uops
-                                         * cost.cycles_per_warp_step)
-                        extra_steps += cost.launch_uops
-                    elif op == DEVSYNC:
-                        devsync_requested = True
-                    elif op == INTR:
-                        value, cycles = self.intrinsic_handler(
-                            ev[1], ev[2], inst, ctxs[i])
-                        pending[i] = value
-                        extra_cycles += cycles
-                    else:  # pragma: no cover - defensive
-                        raise SimulationError(f"unknown event opcode {op}")
-                if accesses:
-                    segments = coalesce_round(accesses, seg_bytes)
-
-            # --- price the round ------------------------------------------
-            round_cycles = cost.cycles_per_warp_step
-            if segments:
-                round_cycles += mem.access_segments(segments)
-            if atomics:
-                worst_conflict = max(atomics.values())
-                round_cycles += cost.atomic_cycles * worst_conflict
-            lane_extra = 0
-            for i in live:
-                c = ctxs[i].c
-                if c:
-                    if c > lane_extra:
-                        lane_extra = c
-                    ctxs[i].c = 0
-            warp.cycles += round_cycles + extra_cycles + lane_extra
-            warp.steps += 1 + extra_steps
-            warp.active_steps += active + extra_steps
-            if prof is not None:
-                prof.record_round(op0, active,
-                                  ctr.dram_transactions - dram0,
-                                  ctr.l2_hits - hits0,
-                                  ctr.l2_misses - miss0, processed)
-            if dirty:
-                live = None
-            if devsync_requested:
-                return "devsync"
+        if op0 == INTR:
+            cycles = self._batch_intrinsics(lanes, events, pending)
+            return None if cycles is None else step + cycles
+        if op0 == LD:
+            segments = self._batch_loads(lanes, events, pending, seg_bytes)
+        elif op0 == ST:
+            segments = self._batch_stores(events, seg_bytes)
+        elif op0 == ATOM:
+            segments = self._batch_atomics(lanes, events, pending, seg_bytes)
+        else:
+            return None
+        if segments is None:
+            return None
+        cycles = step + self.mem.access_segments(segments)
+        if op0 == ATOM:
+            # every address distinct: worst conflict degree 1
+            cycles += self.cost.atomic_cycles
+        return cycles
 
     # ------------------------------------------------------------ fast paths
 
     @staticmethod
     def _round_indices(events):
         """(idx array, shared DeviceArray) for a one-array uniform round,
-        else (None, None) — triggering the sequential fallback."""
+        else (None, None) — leaving the round to the per-event path."""
         arr = events[0][1]
         for ev in events:
             if ev[1] is not arr:
@@ -326,10 +158,6 @@ class VectorizedEngine(FunctionalEngine):
         except (TypeError, ValueError, OverflowError):
             return None, None
         return idxs, arr
-
-    @staticmethod
-    def _segment_set(addrs, itemsize, seg_bytes):
-        return segment_probe_order(addrs, itemsize, seg_bytes)
 
     @staticmethod
     def _uniform_load(lanes, ev, pending, seg_bytes):
@@ -362,11 +190,11 @@ class VectorizedEngine(FunctionalEngine):
         i_arr = idxs + arr.offset
         data = arr.data
         if int(i_arr.min()) < 0 or int(i_arr.max()) >= data.shape[0]:
-            return None  # sequential path raises the scalar error
+            return None  # the per-event path raises the scalar error
         # .tolist() yields the same Python scalars as per-element .item()
         for i, value in zip(lanes, data[i_arr].tolist()):
             pending[i] = value
-        return self._segment_set(arr.base_addr + i_arr * arr.itemsize,
+        return segment_probe_order(arr.base_addr + i_arr * arr.itemsize,
                                  arr.itemsize, seg_bytes)
 
     def _batch_stores(self, events, seg_bytes):
@@ -383,7 +211,7 @@ class VectorizedEngine(FunctionalEngine):
             return None  # C-wraparound / odd values: scalar store handles
         # duplicate indices: NumPy keeps the last write, matching lane order
         data[i_arr] = values
-        return self._segment_set(arr.base_addr + i_arr * arr.itemsize,
+        return segment_probe_order(arr.base_addr + i_arr * arr.itemsize,
                                  arr.itemsize, seg_bytes)
 
     def _batch_atomics(self, lanes, events, pending, seg_bytes):
@@ -452,7 +280,7 @@ class VectorizedEngine(FunctionalEngine):
         else:  # "and"
             new = old & values
         data[i_arr] = new
-        return self._segment_set(arr.base_addr + i_arr * arr.itemsize,
+        return segment_probe_order(arr.base_addr + i_arr * arr.itemsize,
                                  arr.itemsize, seg_bytes)
 
     def _batch_intrinsics(self, lanes, events, pending):
@@ -463,7 +291,7 @@ class VectorizedEngine(FunctionalEngine):
         name = ev0[1]
         if name == "buf_get" and len(ev0[2]) == 3 \
                 and _operand_uniform(events):
-            out = self._dp.get_uniform(*ev0[2], len(events))
+            out = self.dp.get_uniform(*ev0[2], len(events))
             if out is not None:
                 value, cycles = out
                 for i in lanes:
@@ -484,7 +312,7 @@ class VectorizedEngine(FunctionalEngine):
         for ev in events:
             if ev[2][0] != handle:
                 return None
-        dp = self._dp
+        dp = self.dp
         if name in _PUSH_NAMES:
             out = dp.push_many(handle, [ev[2][1:] for ev in events])
         elif name == "buf_get":

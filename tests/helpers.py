@@ -80,6 +80,21 @@ SHADOWING_FUZZ_BODIES = (
 )
 
 
+#: fuzz bodies pinned as examples of lane-order application (DESIGN.md
+#: §15, leg 1): adjacent lanes store and load one address in one round,
+#: and every lane chains an atomic on one address. Over ``out =
+#: arange(8)`` and 8 threads, lane order gives these outputs; applying a
+#: round's events in reverse lane order gives others.
+LANE_ORDER_FUZZ_BODIES = (
+    "if (t % 2 == 0) { out[t + 1] = 100 + t; } else { acc = out[t]; }",
+    "acc = atomicAdd(&out[0], 1);",
+)
+LANE_ORDER_OUTPUTS = (
+    [106, 0, 100, 0, 102, 0, 104, 0],
+    [7, 0, 1, 2, 3, 4, 5, 6],
+)
+
+
 def make_fuzz_kernel(body: str) -> str:
     """Wrap a fuzzed body in the canonical single-kernel test program."""
     return (

@@ -150,6 +150,22 @@ class TestAppDetails:
         assert message.startswith("BFS-Rec [basic-dp]: kernel bfs_rec: ")
         assert "nesting depth 25 exceeds the device limit of 24" in message
 
+    def test_heap_exhaustion_error_names_app_variant_and_kernel(self):
+        """Warp-level SSSP acquires a 2 KB consolidation buffer per warp;
+        a 64-byte device heap cannot hold the first, so the typed error
+        names the app, the variant and the kernel, each once."""
+        from repro.errors import AllocationError
+
+        with pytest.raises(AllocationError) as info:
+            get_app("sssp").run(RunSpec("sssp", WARP), scale=0.05,
+                                heap_bytes=64)
+        message = str(info.value)
+        assert message.startswith(
+            "SSSP [warp-level]: kernel sssp_parent: pre-allocated pool "
+            "exhausted (2048 bytes requested, 64 left)")
+        assert message.count("kernel ") == 1
+        assert info.value.kernel == "sssp_parent"
+
     def test_errors_keep_type_and_text_under_the_prefix(self):
         """App.run prefixes a failing run's ReproError with the app and
         variant, keeping its type and original text."""

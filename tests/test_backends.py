@@ -45,6 +45,8 @@ from repro.sim.device import Device
 from repro.sim.specs import DEFAULT_COST_MODEL, K20C
 
 from tests.helpers import (
+    LANE_ORDER_FUZZ_BODIES,
+    LANE_ORDER_OUTPUTS,
     SHADOWING_FUZZ_BODIES,
     make_fuzz_kernel,
     minicuda_body,
@@ -232,6 +234,8 @@ _fuzz_body = minicuda_body()
 @given(_fuzz_body)
 @example(SHADOWING_FUZZ_BODIES[0])
 @example(SHADOWING_FUZZ_BODIES[1])
+@example(LANE_ORDER_FUZZ_BODIES[0])
+@example(LANE_ORDER_FUZZ_BODIES[1])
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_programs_match_sim(body):
     """>=50 hypothesis-fuzzed MiniCUDA programs (the same space as
@@ -245,6 +249,23 @@ def test_fuzzed_programs_match_sim(body):
                      device_factory=CpuDevice)
     np.testing.assert_array_equal(cpu[0], sim[0], err_msg=src)
 
+
+
+@pytest.mark.parametrize("body, expected",
+                         zip(LANE_ORDER_FUZZ_BODIES, LANE_ORDER_OUTPUTS))
+@pytest.mark.parametrize("device_factory", [
+    pytest.param(lambda: Device(engine="scalar"), id="scalar"),
+    pytest.param(lambda: Device(engine="vectorized"), id="vectorized"),
+    pytest.param(CpuDevice, id="cpu"),
+])
+def test_lane_order_examples_give_the_lane_order_answer(body, expected,
+                                                        device_factory):
+    """Both sim engines share one round loop, so comparing them cannot
+    catch a wrong application order in it; the pinned answers can."""
+    out = run_source(make_fuzz_kernel(body), "fuzz", 1, 8,
+                     [("out", np.arange(8, dtype=np.int32))], (5,),
+                     device_factory=device_factory)
+    assert out[0].tolist() == expected
 
 _DP_TMPL = """
 __global__ void child(int* buf, int* out, int u, int n) {

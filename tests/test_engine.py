@@ -4,8 +4,8 @@ device-sync semantics and launch plumbing."""
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim.device import Device
+from repro.errors import AllocationError, SimulationError
+from repro.sim.device import ENGINES, Device
 
 from tests.helpers import run_kernel
 
@@ -212,3 +212,75 @@ class TestDeterminism:
             cycles.append(m.cycles)
         assert results[0] == results[1]
         assert cycles[0] == cycles[1]
+
+
+class TestErrorsNameTheKernel:
+    """An error raised while a kernel's events are applied leaves the
+    engine prefixed ``kernel <name>: `` exactly once, naming the
+    innermost failing kernel, and keeps its type."""
+
+    #: a child that stores past the end of ``out`` under a parent that
+    #: joins it with cudaDeviceSynchronize (``sync``) or leaves it to
+    #: the FIFO drain
+    _OOB_SRC = """
+    __global__ void child(int* out) { out[threadIdx.x + 8] = 1; }
+    __global__ void parent(int* out, int sync) {
+        if (threadIdx.x == 0) {
+            child<<<1, 1>>>(out);
+            if (sync) { cudaDeviceSynchronize(); }
+        }
+    }
+    """
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("sync", [1, 0], ids=["devsync", "drained"])
+    def test_failing_child_is_named_once(self, engine, sync):
+        dev = Device(engine=engine)
+        prog = dev.load(self._OOB_SRC)
+        out = dev.from_numpy("out", np.zeros(4, np.int32))
+        with pytest.raises(SimulationError) as info:
+            prog.launch("parent", 1, 1, out, sync)
+        message = str(info.value)
+        assert message.startswith("kernel child: ")
+        assert message.count("kernel ") == 1
+        assert "parent" not in message
+        assert info.value.kernel == "child"
+
+    #: the Fig. 1 DP template, grid-consolidated with one-slot buffers:
+    #: the second push into the parent's grid buffer must grow it, and a
+    #: 16-byte device heap cannot
+    _GROW_SRC = """
+    __global__ void child(int* buf, int* out, int u, int n) {
+        out[u] = buf[u % 16] + u;
+    }
+    __global__ void parent(int* buf, int* out, int n) {
+        int u = blockIdx.x * blockDim.x + threadIdx.x;
+        if (u < n) {
+            int w = buf[u % 16];
+            #pragma dp consldt(grid) buffer(type: custom, perBufferSize: 1) work(u)
+            if (w > 8) {
+                child<<<1, 1>>>(buf, out, u, n);
+            } else {
+                out[u] = 0 - w;
+            }
+        }
+    }
+    """
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_heap_exhaustion_during_buffer_growth_names_the_kernel(self,
+                                                                   engine):
+        from repro.compiler import consolidate_source
+
+        src = consolidate_source(self._GROW_SRC).source
+        dev = Device(heap_bytes=16, engine=engine)
+        prog = dev.load(src)
+        rng = np.random.default_rng(23)
+        buf = dev.from_numpy("buf", rng.integers(0, 32, 64).astype(np.int32))
+        out = dev.from_numpy("out", np.zeros(64, np.int32))
+        with pytest.raises(AllocationError) as info:
+            prog.launch("parent", 2, 32, buf, out, 64)
+        message = str(info.value)
+        assert message.startswith("kernel parent: pre-allocated pool "
+                                  "exhausted (32 bytes requested, 0 left)")
+        assert message.count("kernel ") == 1

@@ -57,6 +57,7 @@ from repro.sim.specs import DEFAULT_COST_MODEL, K20C
 from repro.tuning import Candidate, get_objective
 
 from tests.helpers import (
+    LANE_ORDER_FUZZ_BODIES,
     SHADOWING_FUZZ_BODIES,
     make_fuzz_kernel,
     minicuda_body,
@@ -228,6 +229,8 @@ _fuzz_body = minicuda_body()
 @given(_fuzz_body)
 @example(SHADOWING_FUZZ_BODIES[0])
 @example(SHADOWING_FUZZ_BODIES[1])
+@example(LANE_ORDER_FUZZ_BODIES[0])
+@example(LANE_ORDER_FUZZ_BODIES[1])
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_programs_match_scalar(body):
     """>=50 hypothesis-fuzzed MiniCUDA programs (the same space as

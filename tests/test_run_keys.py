@@ -122,8 +122,8 @@ def _record(mp, owner, attr: str, calls: dict) -> None:
 def plan_store(tmp_path_factory):
     """The figure plan and the extras executed once, cold, into a store
     under the pinned version: the runs the metrics fixture pins, the
-    content keys the cold prefetch computed, the rendered figures, and
-    the store a warm regeneration reads."""
+    content keys and directory scans the cold prefetch made, the
+    rendered figures, and the store a warm regeneration reads."""
     calls = defaultdict(list)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(repro, "__version__", PINNED_VERSION)
@@ -131,13 +131,15 @@ def plan_store(tmp_path_factory):
         runner = ExperimentRunner(scale=SCALE, store=store,
                                   training_log=False)
         _record(mp, runner_module, "run_key", calls)
+        _record(mp, Path, "glob", calls)
         stats = runner.prefetch(_plan(runner), jobs=1)
         cold = {"executed": stats.executed,
                 "run_keys": len(calls["run_key"])}
+        globs = list(calls["glob"])
         metrics = _metrics(runner)
         text = _render_figures(runner)
-    return SimpleNamespace(store=store, cold=cold, metrics=metrics,
-                           text=text)
+    return SimpleNamespace(store=store, cold=cold, globs=globs,
+                           metrics=metrics, text=text)
 
 
 def _render(keys: dict) -> str:
@@ -178,6 +180,11 @@ class TestWarmPath:
     def test_cold_prefetch_computes_each_key_once(self, plan_store):
         """The lookup miss and the put after the execution share a key."""
         assert plan_store.cold == {"executed": 145, "run_keys": 145}
+
+    def test_cold_prefetch_scans_no_directory(self, plan_store):
+        """A lookup miss and a put each touch their key's own paths; with
+        one shard count neither globs the store (each did, 290 scans)."""
+        assert plan_store.globs == []
 
     def test_warm_regeneration_derives_each_identity_once(
             self, plan_store, monkeypatch):

@@ -176,37 +176,6 @@ class TestShardedLayout:
         assert len(store) == 1
         assert store.get(self.KEY) == {"v": "new"}
 
-    def test_foreign_shard_count_still_found(self, tmp_path):
-        ResultStore(tmp_path, shards=16).put(self.KEY, {"v": 3})
-        other = ResultStore(tmp_path, shards=5)
-        assert self.KEY in other
-        assert other.get(self.KEY) == {"v": 3}
-
-    def test_put_migrates_foreign_shard_copy(self, tmp_path):
-        """A rewrite under a different shard count must not leave the
-        old copy to double-count or shadow the new one."""
-        first = ResultStore(tmp_path, shards=16)
-        first.put(self.KEY, {"v": "old"})
-        self._backdate(first.path_for(self.KEY))
-        other = ResultStore(tmp_path, shards=5)
-        assert other.path_for(self.KEY) != first.path_for(self.KEY)
-        other.put(self.KEY, {"v": "new"})
-        assert len(other) == 1
-        assert ResultStore(tmp_path, shards=16).get(self.KEY) == {"v": "new"}
-
-    def test_put_never_deletes_a_concurrent_fresh_copy(self, tmp_path):
-        """Two writers with different shard counts landing the same key
-        at the same time must not unlink each other — a same-age
-        duplicate is tolerated, a vanished key is not."""
-        a = ResultStore(tmp_path, shards=16)
-        b = ResultStore(tmp_path, shards=5)
-        a.put(self.KEY, {"v": "a"})
-        b.put(self.KEY, {"v": "b"})  # a's copy is fresh: must survive
-        assert a.path_for(self.KEY).exists()
-        assert b.path_for(self.KEY).exists()
-        assert a.get(self.KEY) is not None
-        assert b.get(self.KEY) is not None
-
     def test_shard_info_counts_both_layouts(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(self.KEY, {"v": 1})
@@ -220,14 +189,6 @@ class TestShardedLayout:
         assert info["populated"] == 1
         assert len(store) == 2
         assert store.clear() == 2
-
-    def test_shard_count_env_override(self, tmp_path, monkeypatch):
-        from repro.experiments.store import SHARDS_ENV
-
-        monkeypatch.setenv(SHARDS_ENV, "4")
-        assert ResultStore(tmp_path).shards == 4
-        monkeypatch.setenv(SHARDS_ENV, "junk")
-        assert ResultStore(tmp_path).shards == 16
 
     def test_cache_info_cli_reports_layout(self, tmp_path, capsys):
         from repro.cli import main
