@@ -1058,12 +1058,13 @@ class CpuDevice:
         self._run_tree([inst])
 
     def _validate_config(self, name: str, grid: int, block: int) -> None:
+        # a device launch's error is prefixed with the launching kernel
         if grid <= 0 or block <= 0:
             raise LaunchError(
-                f"kernel {name}: invalid configuration <<<{grid}, {block}>>>")
+                f"launch of {name}: invalid configuration <<<{grid}, {block}>>>")
         if block > self.spec.max_threads_per_block:
             raise LaunchError(
-                f"kernel {name}: {block} threads/block exceeds the device "
+                f"launch of {name}: {block} threads/block exceeds the device "
                 f"limit of {self.spec.max_threads_per_block}")
 
     def _new_instance(self, name, grid, block, args, depth) -> _Instance:
@@ -1079,7 +1080,7 @@ class CpuDevice:
         depth = parent.depth + 1
         if depth > self.spec.max_nesting_depth:
             raise LaunchError(
-                f"kernel {name}: dynamic-parallelism nesting depth {depth} "
+                f"dynamic-parallelism nesting depth {depth} "
                 f"exceeds the device limit of {self.spec.max_nesting_depth}")
         self._validate_config(name, grid, block)
         self.device_launches += 1
@@ -1118,16 +1119,25 @@ class CpuDevice:
             self._run_blocks(inst, queue)
 
     def _run_blocks(self, inst: _Instance, queue) -> None:
-        interp = self._interps.get(inst.name)
-        if interp is None:
-            raise SimulationError(f"launch of unknown kernel {inst.name!r}")
-        fn = self.functions[inst.name]
-        if inst.grid <= 0 or inst.block_dim <= 0:
-            raise SimulationError(
-                f"kernel {inst.name}: empty launch configuration "
-                f"<<<{inst.grid}, {inst.block_dim}>>>")
-        for bx in range(inst.grid):
-            queue.extend(self._run_block(inst, interp, fn, bx))
+        try:
+            interp = self._interps.get(inst.name)
+            if interp is None:
+                raise SimulationError("not loaded on this device")
+            fn = self.functions[inst.name]
+            if inst.grid <= 0 or inst.block_dim <= 0:
+                raise SimulationError(
+                    f"empty launch configuration "
+                    f"<<<{inst.grid}, {inst.block_dim}>>>")
+            for bx in range(inst.grid):
+                queue.extend(self._run_block(inst, interp, fn, bx))
+        except SimulationError as exc:
+            # name the innermost failing kernel, once, as the simulator's
+            # engine does: a device-synced child's error crosses its
+            # parent's frame already named
+            if exc.kernel is None:
+                exc.kernel = inst.name
+                exc.args = (f"kernel {inst.name}: {exc}",)
+            raise
 
     def _make_warps(self, inst, interp, fn, bx, shared):
         wsz = self.spec.warp_size
@@ -1172,7 +1182,7 @@ class CpuDevice:
                 progressed = True
             if not progressed:
                 raise SimulationError(
-                    f"deadlock in kernel {inst.name} block {bx}: "
+                    f"deadlock in block {bx}: "
                     f"{barrier_waiters} warps at barrier, {done_warps} done")
         return block_pending
 

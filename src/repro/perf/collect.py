@@ -19,8 +19,9 @@ the exact same costs, so ``RunMetrics`` stay bitwise identical.
 Round classification (the ROADMAP's "deepen the vectorized engine"
 signal): a round whose gathered lane events share one opcode is
 *uniform*, mixed opcodes make it *divergent*, and *batched* counts the
-uniform rounds the vectorized engine actually processed through a NumPy
-fast path (always 0 on the scalar engine).
+operand-uniform reads the vectorized engine served once — rounds whose
+lanes all load one element or read one consolidation-buffer slot, never
+a round that writes (always 0 on the scalar engine).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class InstanceProfile:
     from_device: bool
     depth: int
     #: round breakdown — uniform (one opcode), divergent (mixed),
-    #: batched (uniform rounds taken by a vectorized fast path)
+    #: batched (operand-uniform reads the vectorized engine served once)
     rounds_uniform: int = 0
     rounds_divergent: int = 0
     rounds_batched: int = 0

@@ -3,7 +3,7 @@
 The paper's Fig. 10 counts DRAM read+write transactions via the NVIDIA
 profiler. We model the path the same way the hardware does at first order:
 warp memory accesses are coalesced into 128-byte segments
-(:mod:`repro.sim.coalesce`), each segment probes a device-wide L2 modelled
+(:func:`repro.sim.engine.coalesce_round`), each segment probes a device-wide L2 modelled
 as set-associative LRU, and misses (plus write-backs, which we fold into
 the miss count) become DRAM transactions.
 

@@ -46,7 +46,8 @@ DEFAULT_HEAP_BYTES = 64 * 1024 * 1024
 #: functional-engine implementations, selectable per Device. Both run the
 #: same canonical schedule and produce bitwise-identical metrics (the
 #: differential harness in tests/test_oracle.py holds them to it);
-#: 'scalar' is the reference, 'vectorized' the batched default.
+#: 'scalar' is the reference, 'vectorized' the default, which serves
+#: operand-uniform reads once.
 ENGINES = {
     "scalar": FunctionalEngine,
     "vectorized": VectorizedEngine,

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import SimulationError
 from .memory import DeviceArray, GlobalMemory
 
@@ -184,147 +182,6 @@ class DPRuntime:
             self.profiler.record_push(scope, 1, cycles)
         return slot, cycles
 
-    # ------------------------------------------------- batched entry points
-    #
-    # Used by the vectorized engine for uniform warp rounds (every live
-    # lane pushing into / reading from one buffer). Each returns
-    # ``(values, total_cycles)`` with state, stats and per-operation L2
-    # pricing identical to the equivalent sequence of scalar calls, or
-    # ``None`` when an edge case (grow, slot or field out of range,
-    # field-count mismatch, integer overflow) should take the scalar path
-    # instead — keeping error semantics and the grow/realloc accounting
-    # in exactly one place.
-
-    def push_many(self, handle: int, rows: list):
-        """Batched :meth:`push`: one store + one stats update for the
-        whole round, per-push L2 pricing preserved in order."""
-        buf = self.buffers.get(int(handle))
-        if buf is None:
-            return None
-        nvars = buf.nvars
-        for row in rows:
-            if len(row) != nvars:
-                return None
-        k = len(rows)
-        slot0 = buf.count
-        if slot0 + k > buf.capacity:
-            return None  # growing mid-batch: scalar push handles it
-        try:
-            values = np.asarray([int(v) for row in rows for v in row],
-                                dtype=buf.storage.data.dtype)
-        except (OverflowError, ValueError, TypeError):
-            return None
-        base0 = slot0 * nvars
-        buf.storage.data[base0: base0 + k * nvars] = values
-        buf.count = slot0 + k
-        self.stats.pushes += k
-        scope = GRAN_NAMES[buf.gran]
-        self.stats.pushes_by_scope[scope] = \
-            self.stats.pushes_by_scope.get(scope, 0) + k
-        per_push = (self.cost.atomic_cycles * self._push_conflict(buf.gran)
-                    + self.cost.buffer_push_cycles)
-        seg_bytes = self.spec.dram_segment_bytes
-        row_bytes = nvars * _ITEM_BYTES
-        addr0 = buf.storage.addr_of(base0) + np.arange(k) * row_bytes
-        seg_lo = addr0 // seg_bytes
-        seg_hi = (addr0 + row_bytes - 1) // seg_bytes
-        total = k * per_push
-        probe = self.memsys.l2.probe
-        counters = self.memsys.counters
-        hit_cycles = self.cost.l2_hit_cycles
-        miss_cycles = self.cost.dram_transaction_cycles
-        # same per-segment probes, counters and L2 state as one
-        # access_segments({seg}) call per push, minus the call overhead
-        for lo, hi in zip(seg_lo.tolist(), seg_hi.tolist()):
-            for seg in range(lo, hi + 1):
-                if probe(seg):
-                    counters.l2_hits += 1
-                    total += hit_cycles
-                else:
-                    counters.l2_misses += 1
-                    counters.dram_transactions += 1
-                    total += miss_cycles
-        if self.profiler is not None:
-            self.profiler.record_push(scope, k, total)
-        return list(range(slot0, slot0 + k)), total
-
-    def get_many(self, handle: int, slots: list, flds: list):
-        """Batched :meth:`get`: one gather, per-read L2 pricing in order."""
-        buf = self.buffers.get(int(handle))
-        if buf is None:
-            return None
-        try:
-            slot_arr = np.asarray(slots, dtype=np.int64)
-            fld_arr = np.asarray(flds, dtype=np.int64)
-        except (OverflowError, ValueError, TypeError):
-            return None
-        if len(slots) and (int(slot_arr.min()) < 0
-                           or int(slot_arr.max()) >= buf.count
-                           or int(fld_arr.min()) < 0
-                           or int(fld_arr.max()) >= buf.nvars):
-            return None  # scalar get raises the bounds error
-        pos = slot_arr * buf.nvars + fld_arr
-        values = buf.storage.data[pos].tolist()
-        seg_bytes = self.spec.dram_segment_bytes
-        segs = (buf.storage.base_addr + pos * _ITEM_BYTES) // seg_bytes
-        total = 0
-        probe = self.memsys.l2.probe
-        counters = self.memsys.counters
-        hit_cycles = self.cost.l2_hit_cycles
-        miss_cycles = self.cost.dram_transaction_cycles
-        for seg in segs.tolist():
-            if probe(seg):
-                counters.l2_hits += 1
-                total += hit_cycles
-            else:
-                counters.l2_misses += 1
-                counters.dram_transactions += 1
-                total += miss_cycles
-        if self.profiler is not None:
-            self.profiler.record_pop(len(values), total)
-        return values, total
-
-    def get_uniform(self, handle, slot, fld, k: int):
-        """Batched :meth:`get` for ``k`` reads of one (handle, slot, field):
-        returns ``(value, total_cycles)``, or None to fall back.
-
-        One read and one L2 probe stand for all ``k``: the first probe
-        leaves the segment most recently used, and re-probing an LRU
-        set's MRU line is a hit that leaves the set's order unchanged —
-        so the other ``k - 1`` scalar probes are hits with no effect on
-        later L2 state.
-        """
-        if type(handle) is not int or type(slot) is not int \
-                or type(fld) is not int:
-            return None
-        buf = self.buffers.get(handle)
-        if buf is None or not (0 <= slot < buf.count
-                               and 0 <= fld < buf.nvars):
-            return None  # scalar get raises the error
-        pos = slot * buf.nvars + fld
-        value = buf.storage.data.item(pos)
-        seg = buf.storage.addr_of(pos) // self.spec.dram_segment_bytes
-        counters = self.memsys.counters
-        hit_cycles = self.cost.l2_hit_cycles
-        if self.memsys.l2.probe(seg):
-            counters.l2_hits += k
-            total = k * hit_cycles
-        else:
-            counters.l2_misses += 1
-            counters.dram_transactions += 1
-            counters.l2_hits += k - 1
-            total = self.cost.dram_transaction_cycles + (k - 1) * hit_cycles
-        if self.profiler is not None:
-            self.profiler.record_pop(k, total)
-        return value, total
-
-    def size_many(self, handle: int, k: int):
-        """Batched :meth:`size`: the count is unchanged across the round."""
-        buf = self.buffers.get(int(handle))
-        if buf is None:
-            return None
-        return [buf.count] * k, k * self.cost.l2_hit_cycles
-
     def _grow(self, buf: ConsolidationBuffer) -> int:
         """Double the buffer capacity; returns the cycle penalty."""
         new_capacity = max(4, buf.capacity * 2)
@@ -366,6 +223,41 @@ class DPRuntime:
         if self.profiler is not None:
             self.profiler.record_pop(1, cycles)
         return value, cycles
+
+    def get_uniform(self, handle, slot, fld, k: int):
+        """:meth:`get` for ``k`` reads of one (handle, slot, field) — the
+        vectorized engine's operand-uniform buffer read: returns
+        ``(value, total_cycles)``, or None to fall back.
+
+        One read and one L2 probe stand for all ``k``: the first probe
+        leaves the segment most recently used, and re-probing an LRU
+        set's MRU line is a hit that leaves the set's order unchanged —
+        so the other ``k - 1`` scalar probes are hits with no effect on
+        later L2 state.
+        """
+        if type(handle) is not int or type(slot) is not int \
+                or type(fld) is not int:
+            return None
+        buf = self.buffers.get(handle)
+        if buf is None or not (0 <= slot < buf.count
+                               and 0 <= fld < buf.nvars):
+            return None  # scalar get raises the error
+        pos = slot * buf.nvars + fld
+        value = buf.storage.data.item(pos)
+        seg = buf.storage.addr_of(pos) // self.spec.dram_segment_bytes
+        counters = self.memsys.counters
+        hit_cycles = self.cost.l2_hit_cycles
+        if self.memsys.l2.probe(seg):
+            counters.l2_hits += k
+            total = k * hit_cycles
+        else:
+            counters.l2_misses += 1
+            counters.dram_transactions += 1
+            counters.l2_hits += k - 1
+            total = self.cost.dram_transaction_cycles + (k - 1) * hit_cycles
+        if self.profiler is not None:
+            self.profiler.record_pop(k, total)
+        return value, total
 
     def reset(self, handle: int) -> tuple[None, int]:
         buf = self._buffer(handle)

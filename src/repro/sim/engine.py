@@ -128,8 +128,8 @@ class FunctionalEngine:
 
     This is the scalar reference: its :meth:`_apply_batched` hook takes
     no round, so every event goes through the per-event handling that
-    the batched fast paths of
-    :class:`~repro.sim.engine_vec.VectorizedEngine` are held to.
+    the operand-uniform fast path of
+    :class:`~repro.sim.engine_vec.VectorizedEngine` is held to.
     """
 
     def __init__(self, spec, cost, memory_system, kernels: dict, dp,
@@ -501,7 +501,12 @@ class FunctionalEngine:
 
 
 def coalesce_round(accesses: list[tuple[int, int]], seg_bytes: int) -> set[int]:
-    """Coalesce one warp round's (addr, itemsize) accesses into segments."""
+    """Coalesce one warp round's (addr, itemsize) accesses into segments.
+
+    As the hardware services a warp's global-memory instruction: lane
+    addresses group into aligned ``seg_bytes`` segments, each distinct
+    segment one transaction, and an access straddling a boundary touches
+    both."""
     segments: set[int] = set()
     add = segments.add
     for addr, itemsize in accesses:

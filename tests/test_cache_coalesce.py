@@ -3,8 +3,14 @@
 from hypothesis import given, strategies as st
 
 from repro.sim.cache import L2Cache, MemorySystem
-from repro.sim.coalesce import coalesce, transactions_for
+from repro.sim.engine import coalesce_round
 from repro.sim.specs import CostModel, TINY
+
+
+def transactions_for(addrs, itemsize):
+    """Transactions one warp access makes with no cache: the number of
+    128-byte segments :func:`coalesce_round` groups it into."""
+    return len(coalesce_round([(a, itemsize) for a in addrs], 128))
 
 
 class TestCoalesce:
@@ -36,7 +42,7 @@ class TestCoalesce:
 
     @given(st.lists(st.integers(0, 1 << 16), min_size=1, max_size=32))
     def test_segments_cover_all_addresses(self, addrs):
-        segments = coalesce(addrs, 4, 128)
+        segments = coalesce_round([(a, 4) for a in addrs], 128)
         for a in addrs:
             assert a // 128 in segments
 

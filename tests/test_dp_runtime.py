@@ -135,7 +135,8 @@ class TestBuffers:
 
     #: (block size, first lane reading the tested operands): one lane
     #: runs sequentially; 32 lanes on one (slot, field) are an
-    #: operand-uniform round; only the last of 32 is a batched gather
+    #: operand-uniform round; only the last of 32 makes the round's
+    #: operands differ, which leaves it to the per-event path
     _READERS = (
         pytest.param(1, 0, id="1-lane"),
         pytest.param(32, 0, id="32-lanes"),
@@ -153,7 +154,7 @@ class TestBuffers:
     ))
     def test_out_of_range_get_raises(self, engine, lanes, first, slot, fld,
                                      message):
-        # the vectorized engine's batched reads must leave the error to
+        # the vectorized engine's uniform read must leave the error to
         # the scalar read, on every engine the same
         dev = Device(engine=engine)
         prog = dev.load(self._READ_SRC)

@@ -4,6 +4,7 @@ device-sync semantics and launch plumbing."""
 import numpy as np
 import pytest
 
+from repro.backends import CpuDevice
 from repro.errors import AllocationError, SimulationError
 from repro.sim.device import ENGINES, Device
 
@@ -232,10 +233,10 @@ class TestErrorsNameTheKernel:
     }
     """
 
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("executor", sorted(ENGINES) + ["cpu"])
     @pytest.mark.parametrize("sync", [1, 0], ids=["devsync", "drained"])
-    def test_failing_child_is_named_once(self, engine, sync):
-        dev = Device(engine=engine)
+    def test_failing_child_is_named_once(self, executor, sync):
+        dev = CpuDevice() if executor == "cpu" else Device(engine=executor)
         prog = dev.load(self._OOB_SRC)
         out = dev.from_numpy("out", np.zeros(4, np.int32))
         with pytest.raises(SimulationError) as info:

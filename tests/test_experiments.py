@@ -138,3 +138,30 @@ class TestFig6:
         for row in table.rows:
             # every KC config must beat basic-dp
             assert row[col("KC_1")] > 1.0
+
+    def test_warm_regeneration_grows_no_tree(self, tmp_path, monkeypatch):
+        """Fig. 6's tree datasets come through the workload registry, so
+        a fresh runner over a filled store and dataset cache builds
+        neither tree again."""
+        from repro.experiments import ResultStore, fig6_kernel_config
+        from repro.workloads import DatasetCache, generators
+
+        store = ResultStore(tmp_path / "store")
+        cache = DatasetCache(tmp_path / "datasets")
+
+        def regenerate():
+            fresh = ExperimentRunner(scale=0.05, store=store,
+                                     dataset_cache=cache)
+            fresh.prefetch(fig6_kernel_config.plan(fresh, exhaustive=False))
+            return fresh, fig6_kernel_config.main(fresh, exhaustive=False)
+
+        _, cold_text = regenerate()
+        grown = []
+        grow_tree = generators.grow_tree
+        monkeypatch.setattr(generators, "grow_tree",
+                            lambda *a, **kw: grown.append(a[0])
+                            or grow_tree(*a, **kw))
+        warm, warm_text = regenerate()
+        assert grown == []
+        assert warm.stats.executed == 0
+        assert warm_text == cold_text

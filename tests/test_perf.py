@@ -7,7 +7,9 @@ Four families:
   DRAM plus scheduler-charged overhead traffic equals the metrics
   total, and the scalar and vectorized engines agree on every
   attribution column. The rendered table for sssp/consolidated is
-  pinned as a golden file (``--update-goldens`` rewrites it).
+  pinned as a golden file (``--update-goldens`` rewrites it). The
+  batching counter counts only operand-uniform reads: a round that
+  writes is never batched.
 * **never-perturb** — a spec resolved or keyed under ``profiling()``
   is the unprofiled one, and a profiled run's ``RunMetrics`` are
   bitwise-identical to plain and traced runs.
@@ -23,6 +25,7 @@ import json
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.apps import get_app
@@ -34,6 +37,7 @@ from repro.perf.report import (PROFILE_FORMAT, build_profile,
                                profile_chrome_trace, profile_to_json,
                                render_occupancy, render_profile)
 from repro.experiments import ExperimentRunner, ResultStore, RunSpec
+from repro.sim.device import ENGINES, Device
 from repro.telemetry import Tracer, tracing, validate_chrome_trace
 
 SCALE = 0.05
@@ -129,6 +133,57 @@ class TestAttribution:
             assert vec.rescheduled_cycles == scalar.rescheduled_cycles
             assert vec.occupancy == scalar.occupancy
             assert vec.spans == scalar.spans
+
+
+class TestBatchedRounds:
+    """The vectorized engine batches only operand-uniform reads, so a
+    batched round never writes; the scalar engine batches nothing."""
+
+    #: kernels whose every round is a 32-lane uniform round that writes:
+    #: stores to one array, distinct-address atomics, pushes into one
+    #: buffer (after the acquire, which every lane calls alike)
+    _WRITES = {
+        "store": "out[threadIdx.x] = 7;",
+        "atomic": "atomicAdd(&out[threadIdx.x], 1);",
+        "push": "int h = __dp_buf_acquire(1, 64, 1);"
+                " __dp_buf_push1(h, threadIdx.x);",
+    }
+    #: kernels with a 32-lane round reading one operand
+    _READS = {
+        "load": "out[threadIdx.x] = out[40];",
+        "buf_get": "int h = __dp_buf_acquire(1, 64, 1);"
+                   " if (threadIdx.x == 0) { __dp_buf_push1(h, 5); }"
+                   " __syncthreads();"
+                   " out[threadIdx.x] = __dp_buf_get(h, 0, 0);",
+    }
+
+    @staticmethod
+    def _profile(engine, body):
+        with profiling() as collector:
+            dev = Device(engine=engine)
+            prog = dev.load(f"__global__ void k(int* out) {{ {body} }}")
+            out = dev.from_numpy("out", np.zeros(64, np.int32))
+            prog.launch("k", 1, 32, out)
+            dev.synchronize()
+        (prof,) = collector.instances.values()
+        return prof
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("kind", sorted(_WRITES))
+    def test_a_batched_round_never_writes(self, engine, kind):
+        prof = self._profile(engine, self._WRITES[kind])
+        assert prof.rounds_divergent == 0
+        assert prof.active_lane_events == 32 * prof.rounds_uniform
+        assert prof.rounds_batched == 0
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("kind", sorted(_READS))
+    def test_an_operand_uniform_read_is_batched(self, engine, kind):
+        prof = self._profile(engine, self._READS[kind])
+        if engine == "scalar":
+            assert prof.rounds_batched == 0
+        else:
+            assert prof.rounds_batched > 0
 
 
 # -- never-perturb invariants --------------------------------------------------
